@@ -10,10 +10,12 @@ cone, D_w is first replaced by the linearly equivalent divisor
 
     D_w - sum_j <u, v_j> D_j
 
-where u is a rational functional with <u, v_w> = 1 and <u, v_j> = 0 on the
-cone's other generators; the replacement meets the orbit closure properly,
+where u is a functional with <u, v_w> = 1 and <u, v_j> = 0 on the cone's
+other generators; the replacement meets the orbit closure properly,
 reducing to the transversal case. Any valid u gives the same intersection
-numbers.
+numbers. By default u is the dual basis element of w on a maximal cone
+containing the cone (:meth:`Fan.dual`), an integer vector on a smooth fan,
+so every number below is an integer sum until ch2 halves it.
 
 The second Chern character of the tangent bundle is half the sum of the
 squares of the invariant divisors, so its value on an invariant surface is
@@ -32,7 +34,7 @@ from typing import Callable, Iterable
 from .exactlin import dot, solve
 from .fan import Cone, Fan, _cone
 
-CurveCycle = dict  # 3-cone -> Fraction, zero coefficients dropped
+CurveCycle = dict  # 3-cone -> int or Fraction, zero coefficients dropped
 
 TWO_FANO = "two_fano"
 NEF_NOT_TWO_FANO = "nef_not_two_fano"
@@ -57,7 +59,9 @@ def dual_functional(fan: Fan, w: int, cone: Iterable[int]) -> tuple:
     The cone must be a face containing ``w``. For cones of fewer than four
     rays the system is underdetermined and the canonical solution is
     returned (free coordinates zero), deterministic but otherwise arbitrary:
-    downstream intersection numbers do not depend on the choice.
+    downstream intersection numbers do not depend on the choice. They take
+    theirs from :meth:`Fan.dual` and fall back to this one only when no
+    nondegenerate maximal cone holds the cone.
     """
     cone = _cone(cone)
     if w not in cone:
@@ -70,53 +74,52 @@ def dual_functional(fan: Fan, w: int, cone: Iterable[int]) -> tuple:
     return sol[0]
 
 
-def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | None = None) -> Fraction:
+def _functional(fan: Fan, w: int, cone: Cone, u_fn: UFunction | None) -> tuple:
+    if u_fn is not None:
+        return u_fn(fan, w, cone)
+    u = fan.dual(w, cone)
+    # only a cone outside the fan or on a degenerate maximal cone gets here
+    return dual_functional(fan, w, cone) if u is None else u
+
+
+def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | None = None) -> int | Fraction:
     """Intersection number of divisor ``w`` with the curve of 3-cone ``tau``.
 
-    Results for the default functional are memoized on the fan, since each
-    pair is revisited by many surface computations. ``u_fn`` overrides the
-    functional choice (bypassing the cache), which is useful for checking
-    that the choice does not matter.
+    An ``int`` with the default functional on a smooth fan. ``u_fn``
+    overrides the functional choice, which is useful for checking that the
+    choice does not matter.
     """
     tau = _cone(tau)
     if w not in tau:
-        return Fraction(1) if fan.is_maxcone(tau + (w,)) else Fraction(0)
-    if u_fn is None:
-        key = (w, tau)
-        cached = fan._curve_num.get(key)
-        if cached is not None:
-            return cached
-        u = dual_functional(fan, w, tau)
-    else:
-        u = u_fn(fan, w, tau)
-    total = Fraction(0)
+        return 1 if fan.is_maxcone(tau + (w,)) else 0
+    u = _functional(fan, w, tau, u_fn)
+    total = 0
     for n in range(1, fan.ray_count + 1):
         if n not in tau and fan.is_maxcone(tau + (n,)):
             total -= dot(u, fan.ray(n))
-    if u_fn is None:
-        fan._curve_num[key] = total
     return total
 
 
 def divisor_dot_surface(fan: Fan, w: int, sigma: Iterable[int], u_fn: UFunction | None = None) -> CurveCycle:
     """Divisor ``w`` times the surface of 2-cone ``sigma``, as a curve cycle.
 
-    The cycle maps 3-cones to rational coefficients; an empty dict is the
-    zero cycle. For ``w`` outside ``sigma`` the product is the enlarged cone
-    with coefficient 1 when it spans, zero when it does not.
+    The cycle maps 3-cones to exact coefficients (integers with the default
+    functional on a smooth fan); an empty dict is the zero cycle. For ``w``
+    outside ``sigma`` the product is the enlarged cone with coefficient 1
+    when it spans, zero when it does not.
     """
     sigma = _cone(sigma)
     if w not in sigma:
         enlarged = _cone(sigma + (w,))
-        return {enlarged: Fraction(1)} if fan.is_face(enlarged) else {}
-    u = dual_functional(fan, w, sigma) if u_fn is None else u_fn(fan, w, sigma)
+        return {enlarged: 1} if fan.is_face(enlarged) else {}
+    u = _functional(fan, w, sigma, u_fn)
     cycle: CurveCycle = {}
     for n in range(1, fan.ray_count + 1):
         if n in sigma:
             continue
         enlarged = _cone(sigma + (n,))
         if fan.is_face(enlarged):
-            coeff = -Fraction(dot(u, fan.ray(n)))
+            coeff = -dot(u, fan.ray(n))
             if coeff != 0:
                 cycle[enlarged] = coeff
     return cycle
@@ -130,11 +133,11 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     Always a half-integer on a smooth fan.
     """
     sigma = _cone(sigma)
-    total = Fraction(0)
+    total = 0
     for w in range(1, fan.ray_count + 1):
         for tau, coeff in divisor_dot_surface(fan, w, sigma, u_fn).items():
             total += coeff * divisor_dot_curve(fan, w, tau, u_fn)
-    return total / 2
+    return Fraction(total, 2)
 
 
 def anticanonical_degree(fan: Fan, tau: Iterable[int]) -> Fraction:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .atlas import (
     REFERENCE_TABLE,
@@ -50,14 +48,6 @@ def _print_rows(args, columns, rows) -> None:
         print("\t".join(columns))
         for row in rows:
             print("\t".join(row[c] for c in columns))
-
-
-def _pool_map(jobs, func, items):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items))
 
 
 def cmd_list(args) -> int:
@@ -192,7 +182,7 @@ def cmd_classify(args) -> int:
                 print(f"unknown variety: {name}", file=sys.stderr)
                 return EXIT_FAIL
 
-    results = _pool_map(args.jobs, _classify_worker, targets)
+    results = [_classify_worker(rec) for rec in targets]
     failed = [(name, rep) for name, rep, out in results if out is None]
     if failed:
         for name, rep in failed:
@@ -271,7 +261,7 @@ def cmd_validate(args) -> int:
     else:
         with open(args.file, encoding="utf-8") as handle:
             db = parse(handle.read())
-    reports = _pool_map(args.jobs, validate_record, list(db))
+    reports = [validate_record(rec) for rec in db]
     rows = []
     all_ok = True
     for rep in reports:
@@ -314,8 +304,8 @@ def _add_common_options(parser, suppress: bool) -> None:
         "--jobs",
         type=int,
         metavar="N",
-        help="worker threads for per-variety computations",
-        **({"default": os.cpu_count() or 1} if not suppress else kwargs),
+        help="accepted for compatibility and ignored: every command runs in one thread",
+        **({"default": 1} if not suppress else kwargs),
     )
 
 

@@ -1,16 +1,22 @@
-"""Exact rational linear algebra on small integer and rational vectors.
+"""Exact linear algebra on small integer and rational vectors.
 
 Everything here is plain Python arithmetic over ``int`` and
 ``fractions.Fraction``, so results are exact by construction: every rational
 is stored in lowest terms with a positive denominator, and there is no
 rounding anywhere. Vectors are tuples, matrices are sequences of row tuples.
-The solvers are sized for the 4-dimensional lattice work in this package
-(systems never have more than four columns).
+
+Square 4x4 integer systems are handled in integers only: :func:`det4` and
+:func:`adjugate4` give the determinant and the adjugate, whose rows divided
+by the determinant form the dual basis (integral on a unimodular matrix).
+The rational row reduction behind :func:`solve` and :func:`nullspace` serves
+the general, possibly singular or non-square systems, which never have more
+than four columns here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Vector = tuple
@@ -19,7 +25,9 @@ Scalar = "int | Fraction"
 
 def dot(a: Sequence, b: Sequence):
     """Exact inner product of two equal-length vectors."""
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def _det3(a, b, c) -> int:
@@ -48,6 +56,54 @@ def det4(rows: Sequence[Sequence[int]]) -> int:
             total += sign * r0[j] * _det3(_drop(r1, j), _drop(r2, j), _drop(r3, j))
         sign = -sign
     return total
+
+
+def _minors2(y, z) -> tuple[int, ...]:
+    # 2x2 minors of the rows y, z on the column pairs 01, 02, 03, 12, 13, 23
+    y0, y1, y2, y3 = y
+    z0, z1, z2, z3 = z
+    return (
+        y0 * z1 - y1 * z0,
+        y0 * z2 - y2 * z0,
+        y0 * z3 - y3 * z0,
+        y1 * z2 - y2 * z1,
+        y1 * z3 - y3 * z1,
+        y2 * z3 - y3 * z2,
+    )
+
+
+def _cofactors(x, m) -> tuple[int, int, int, int]:
+    # entry k is (-1)^k times the 3x3 minor of the rows x, y, z without
+    # column k, where m = _minors2(y, z)
+    m01, m02, m03, m12, m13, m23 = m
+    return (
+        x[1] * m23 - x[2] * m13 + x[3] * m12,
+        x[2] * m03 - x[0] * m23 - x[3] * m02,
+        x[0] * m13 - x[1] * m03 + x[3] * m01,
+        x[1] * m02 - x[0] * m12 - x[2] * m01,
+    )
+
+
+def adjugate4(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Adjugate and determinant of the 4x4 integer matrix with columns ``cols``.
+
+    Returns ``(adj_rows, det)`` with ``dot(adj_rows[i], cols[j])`` equal to
+    ``det`` when ``i == j`` and to 0 otherwise; ``adj_rows[i]`` is the vector
+    of signed cofactors of ``cols[i]``. Dividing the rows by ``det`` gives
+    the dual basis of ``cols`` (integral when ``det`` is +-1); ``det`` is 0
+    exactly when the columns are dependent. Each cofactor is expanded over
+    the 2x2 minors of the complementary pair of columns (swapping the pair
+    flips the sign), so the work is a few dozen integer products.
+    """
+    a, b, c, d = cols
+    row0 = _cofactors(b, _minors2(c, d))
+    adj_rows = (
+        row0,
+        _cofactors(a, _minors2(d, c)),
+        _cofactors(d, _minors2(a, b)),
+        _cofactors(c, _minors2(b, a)),
+    )
+    return adj_rows, dot(a, row0)
 
 
 def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactlin import det4, dot, solve
+from .exactlin import adjugate4, dot, solve
 
 LatticePoint = tuple[int, int, int, int]
 Cone = tuple[int, ...]
@@ -53,21 +53,23 @@ class Fan:
     Instances are built by :func:`build_fan` or :func:`build_fan_from_rays`
     and treated as immutable afterwards; all derived structure (faces, walls,
     the 2- and 3-dimensional cones) is precomputed so lookups are cheap.
+    Each face is held by one maximal cone (the first in sorted order), whose
+    dual basis, computed on first use, serves every functional on that face.
     """
 
     def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone]):
         self.rays: tuple[LatticePoint, ...] = tuple(tuple(int(x) for x in v) for v in rays)
         self.maxcones: tuple[Cone, ...] = tuple(sorted(_cone(mc) for mc in maxcones))
         self._maxset = frozenset(self.maxcones)
-        faces = set()
+        container: dict[Cone, Cone] = {}
         for mc in self.maxcones:
             for k in range(DIM + 1):
-                faces.update(itertools.combinations(mc, k))
-        self._faces = frozenset(faces)
-        self.cones3: tuple[Cone, ...] = tuple(sorted(f for f in faces if len(f) == 3))
-        self.cones2: tuple[Cone, ...] = tuple(sorted(f for f in faces if len(f) == 2))
-        # write-once memo for curve intersection numbers, see chern module
-        self._curve_num: dict = {}
+                for face in itertools.combinations(mc, k):
+                    container.setdefault(face, mc)
+        self._container = container
+        self.cones3: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 3))
+        self.cones2: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 2))
+        self._bases: dict[Cone, tuple] = {}
 
     @property
     def ray_count(self) -> int:
@@ -78,10 +80,45 @@ class Fan:
         return self.rays[i - 1]
 
     def is_face(self, indices: Iterable[int]) -> bool:
-        return _cone(indices) in self._faces
+        return _cone(indices) in self._container
 
     def is_maxcone(self, indices: Iterable[int]) -> bool:
         return _cone(indices) in self._maxset
+
+    def cone_basis(self, mc: Cone) -> tuple:
+        """``(duals, det)`` for the maximal cone ``mc``, cached per fan.
+
+        ``det`` is the determinant of the generators in index order and
+        ``duals[k]`` the functional equal to 1 on generator ``mc[k]`` and 0
+        on the others: the adjugate row divided by ``det``, so integers when
+        ``det`` is +-1 and ``Fraction`` otherwise. ``duals`` is ``None`` for
+        a degenerate cone (``det`` 0).
+        """
+        entry = self._bases.get(mc)
+        if entry is None:
+            adj, det = adjugate4([self.rays[i - 1] for i in mc])
+            if det == 0:
+                duals = None
+            elif det in (1, -1):
+                duals = tuple(tuple(det * x for x in row) for row in adj)
+            else:
+                duals = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+            entry = self._bases[mc] = (duals, det)
+        return entry
+
+    def dual(self, w: int, cone: Cone):
+        """A functional equal to 1 on ray ``w`` and 0 on the rest of ``cone``.
+
+        ``cone`` is a sorted face containing ``w``; the functional is the dual
+        basis element of ``w`` on the maximal cone holding that face. Returns
+        ``None`` when ``cone`` is not a face or that maximal cone is
+        degenerate.
+        """
+        mc = self._container.get(cone)
+        if mc is None:
+            return None
+        duals, _ = self.cone_basis(mc)
+        return None if duals is None else duals[mc.index(w)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fan):
@@ -157,19 +194,21 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
 
     A 4-subset spans a maximal cone when its rays lie on a common facet: the
     linear functional taking value 1 on all four rays exists (the rays are
-    independent) and takes value strictly below 1 on every other ray. The
+    independent) and takes value strictly below 1 on every other ray. That
+    functional is the sum of the adjugate rows divided by the determinant,
+    so the test runs in integers as ``sign(det) * <sum, v> < |det|``. The
     result must validate as smooth and complete, otherwise the rays are not
     the vertex set of a suitable polytope and :class:`FanError` is raised.
     """
     rays = tuple(tuple(v) for v in rays)
-    ones = (1,) * DIM
     maxcones = []
     for mc in itertools.combinations(range(1, len(rays) + 1), DIM):
-        rows = [rays[i - 1] for i in mc]
-        if det4(rows) == 0:
+        adj, det = adjugate4([rays[i - 1] for i in mc])
+        if det == 0:
             continue
-        u, _ = solve(rows, ones)
-        if all(dot(u, rays[j - 1]) < 1 for j in range(1, len(rays) + 1) if j not in mc):
+        sign = 1 if det > 0 else -1
+        scaled = tuple(sign * sum(col) for col in zip(*adj))  # |det| times the functional
+        if all(dot(scaled, rays[j - 1]) < abs(det) for j in range(1, len(rays) + 1) if j not in mc):
             maxcones.append(mc)
     fan = Fan(rays, maxcones)
     report = validate_fan(fan)
@@ -199,9 +238,9 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
 def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation:
     """Express the ray sum of a primitive collection over its minimal cone.
 
-    Scans every maximal cone, solves for the coordinates of the sum in that
-    cone's generators, and keeps the strictly positive support whenever all
-    coordinates are nonnegative. Every containing cone must yield the same
+    Scans every maximal cone, takes the coordinates of the sum in that
+    cone's generators (see :func:`_coordinates`), and keeps the strictly
+    positive support whenever all coordinates are nonnegative. Every containing cone must yield the same
     support and coefficients; on a smooth fan the coefficients are positive
     integers. The sum of the rays being zero gives the empty cone.
     """
@@ -213,12 +252,8 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
     seen: set[tuple] = set()
     result = None
     for mc in fan.maxcones:
-        rows = [[fan.ray(i)[r] for i in mc] for r in range(DIM)]
-        sol = solve(rows, s)
-        if sol is None:
-            continue
-        x, _ = sol
-        if any(v < 0 for v in x):
+        x = _coordinates(fan, mc, s)
+        if x is None or any(v < 0 for v in x):
             continue
         support = tuple(i for i, v in zip(mc, x) if v > 0)
         coeffs = tuple(v for v in x if v > 0)
@@ -227,7 +262,8 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
     if result is None:
         raise FanError(f"no containing cone for the ray sum of {coll}")
     if len(seen) > 1:
-        raise FanError(f"ambiguous minimal cone for {coll}: {sorted(seen)}")
+        found = sorted((sup, tuple(map(Fraction, cs))) for sup, cs in seen)
+        raise FanError(f"ambiguous minimal cone for {coll}: {found}")
     support, coeffs = result
     if any(v.denominator != 1 for v in coeffs):
         raise FanError(f"non-integral coefficients for {coll}: fan is not smooth")
@@ -235,10 +271,23 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
     return PrimitiveRelation(coll, support, cmap, len(coll) - sum(cmap.values()))
 
 
+def _coordinates(fan: Fan, mc: Cone, point: Sequence[int]):
+    """Exact coordinates of ``point`` over the generators of maximal cone ``mc``.
+
+    An integer mat-vec with the cone's dual basis (integers on a unimodular
+    cone). A degenerate cone falls back to the rational solver: its
+    canonical solution, or ``None`` when ``point`` is outside the span.
+    """
+    duals, _ = fan.cone_basis(mc)
+    if duals is None:
+        sol = solve(_column_matrix([fan.ray(i) for i in mc]), point)
+        return None if sol is None else sol[0]
+    return tuple(dot(u, point) for u in duals)
+
+
 def _contains_point(fan: Fan, mc: Cone, point: Sequence[int]) -> bool:
-    rows = [[fan.ray(i)[r] for i in mc] for r in range(DIM)]
-    sol = solve(rows, point)
-    return sol is not None and all(v >= 0 for v in sol[0])
+    x = _coordinates(fan, mc, point)
+    return x is not None and all(v >= 0 for v in x)
 
 
 def validate_fan(fan: Fan) -> FanReport:
@@ -254,7 +303,7 @@ def validate_fan(fan: Fan) -> FanReport:
     simplicial_ok = True
     smooth = True
     for mc in fan.maxcones:
-        d = det4([fan.ray(i) for i in mc])
+        _, d = fan.cone_basis(mc)
         if d == 0:
             simplicial_ok = False
             problems.append(f"cone {mc} is degenerate")
@@ -384,17 +433,6 @@ def _matmul(a, b):
     return [[dot(a[i], [b[r][j] for r in range(DIM)]) for j in range(DIM)] for i in range(DIM)]
 
 
-def _inverse(matrix):
-    cols = []
-    for k in range(DIM):
-        unit = [1 if r == k else 0 for r in range(DIM)]
-        sol = solve(matrix, unit)
-        if sol is None or sol[1] < DIM:
-            return None
-        cols.append(sol[0])
-    return _column_matrix(cols)
-
-
 def lattice_equivalent(fan_a: Fan, fan_b: Fan) -> bool:
     """Whether some lattice automorphism carries one fan onto the other.
 
@@ -410,7 +448,8 @@ def lattice_equivalent(fan_a: Fan, fan_b: Fan) -> bool:
         return False
 
     base = fan_a.maxcones[0]
-    base_inv = _inverse(_column_matrix([fan_a.ray(i) for i in base]))
+    # the dual basis, as rows, is the inverse of the generator column matrix
+    base_inv, _ = fan_a.cone_basis(base)
     if base_inv is None:
         return False
     ray_index_b = {v: j + 1 for j, v in enumerate(fan_b.rays)}

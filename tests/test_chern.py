@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 from helpers import override_at, perturbed_functional, wall_ch2_oracle, wall_curve_oracle
 
+import toricfano.chern
+import toricfano.fan
+from toricfano.atlas import record_fan, validate_record
 from toricfano.chern import (
     _classification,
     anticanonical_degree,
@@ -14,7 +17,7 @@ from toricfano.chern import (
     dual_functional,
 )
 from toricfano.exactlin import dot
-from toricfano.fan import build_fan
+from toricfano.fan import build_fan, build_fan_from_rays
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,33 @@ def test_dual_functional_defining_constraints(h1):
             u = dual_functional(h1, w, cone)
             for j in cone:
                 assert dot(u, h1.ray(j)) == (1 if j == w else 0)
+
+
+def test_fan_dual_defining_constraints(fans):
+    for name in ("P4", "H1", "M5", "124"):
+        fan = fans[name]
+        for cone in fan.cones2 + fan.cones3:
+            for w in cone:
+                u = fan.dual(w, cone)
+                assert all(isinstance(x, int) for x in u)
+                for j in cone:
+                    assert dot(u, fan.ray(j)) == (1 if j == w else 0)
+
+
+def test_default_path_never_calls_the_rational_solver(database, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("rational solver reached on a unimodular fan")
+
+    monkeypatch.setattr(toricfano.fan, "solve", forbidden)
+    monkeypatch.setattr(toricfano.chern, "solve", forbidden)
+    two_fano = []
+    for rec in database:
+        assert validate_record(rec).ok
+        report = classify(record_fan(rec))
+        if report.classification == "two_fano":
+            two_fano.append((rec.name, report.min_value))
+    assert build_fan_from_rays(database.lookup("M5").rays).maxcones
+    assert two_fano == [("P4", Fraction(5, 2))]
 
 
 def test_dual_functional_requires_membership(h1):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfano.exactlin import det4, dot, nullspace, solve
+from toricfano.exactlin import adjugate4, det4, dot, nullspace, solve
 
 
 def test_dot_examples():
@@ -40,6 +40,53 @@ def test_det4_alternating_under_row_swaps():
         swapped = list(rows)
         swapped[i], swapped[j] = swapped[j], swapped[i]
         assert det4(swapped) == -det4(rows)
+
+
+def _assert_adjugate(cols):
+    adj, det = adjugate4(cols)
+    assert det == det4(cols)
+    for i in range(4):
+        for j in range(4):
+            assert dot(adj[i], cols[j]) == (det if i == j else 0)
+    return det
+
+
+def _unimodular(rng):
+    # random elementary row operations on the identity, plus maybe a swap
+    m = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(6):
+        i, j = rng.sample(range(4), 2)
+        f = rng.choice((-1, 1))
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        m[0], m[1] = m[1], m[0]
+    return [tuple(row) for row in m]
+
+
+def test_adjugate4_random_matrices():
+    rng = random.Random(20261018)
+    dets = []
+    for _ in range(100):
+        cols = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(4)]
+        dets.append(_assert_adjugate(cols))
+        dets.append(_assert_adjugate(_unimodular(rng)))
+        cols[3] = tuple(x - 2 * y for x, y in zip(cols[0], cols[1]))
+        dets.append(_assert_adjugate(cols))
+    assert {0, 1, -1} <= set(dets)
+    assert sum(abs(d) > 1 for d in dets) > 50
+
+
+def test_adjugate4_cases_by_determinant():
+    identity = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert adjugate4(identity) == (tuple(identity), 1)
+    # rays v3, v4, v6, v7 of H1: unimodular, so the rows are the dual basis
+    assert _assert_adjugate([(0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, 0, 0), (0, -1, 0, 0)]) == 1
+    assert _assert_adjugate([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]) == -1
+    # the cone of weighted projective space P(1,1,1,1,2) that omits the weight-2 ray
+    assert _assert_adjugate([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, -2)]) == -2
+    assert _assert_adjugate([(1, 2, 3, 4), (0, 1, 0, 1), (1, 2, 3, 4), (5, 0, 0, 1)]) == 0
+    # dependent but pairwise independent columns: det 0, adjugate still exact
+    assert _assert_adjugate([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)]) == 0
 
 
 def test_solve_identity():

@@ -1,7 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from toricfano.exactlin import dot
 from toricfano.fan import (
     Fan,
     FanError,
@@ -136,6 +138,42 @@ def test_validate_fan_flags_non_unimodular_cone():
     assert any("determinant" in msg for msg in report.problems)
 
 
+# weighted projective space P(1,1,1,1,2): complete and simplicial, but the
+# cone (1, 2, 3, 5) has determinant -2
+WP_RAYS = P4_RAYS[:4] + ((-1, -1, -1, -2),)
+
+
+def test_non_unimodular_cone_keeps_its_checks():
+    fan = build_fan(WP_RAYS, ((1, 2, 3, 4, 5),))
+    report = validate_fan(fan)
+    assert (report.complete, report.smooth, report.simplicial_ok) == (True, False, True)
+    assert report.problems == ["cone (1, 2, 3, 5) has determinant -2"]
+    duals, det = fan.cone_basis((1, 2, 3, 5))
+    assert det == -2
+    assert duals[3] == (0, 0, 0, Fraction(-1, 2))
+    for k, u in zip((1, 2, 3, 5), duals):
+        for j in (1, 2, 3, 5):
+            assert dot(u, fan.ray(j)) == (1 if j == k else 0)
+    with pytest.raises(FanError, match="non-integral coefficients"):
+        primitive_relation(fan, (1, 2, 3, 4, 5))
+    # the integer facet test of the face fan still finds all five cones
+    with pytest.raises(FanError, match=r"^not a Fano face fan: cone \(1, 2, 3, 5\) has determinant -2$"):
+        build_fan_from_rays(WP_RAYS)
+
+
+def test_degenerate_cone_is_reported_not_divided_by():
+    rays = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
+    fan = build_fan(rays, ((1, 2, 3, 4, 5),))
+    report = validate_fan(fan)
+    assert not report.simplicial_ok
+    assert "cone (1, 2, 3, 4) is degenerate" in report.problems
+    assert fan.cone_basis((1, 2, 3, 4)) == (None, 0)
+    assert fan.dual(1, (1, 2, 3)) is None
+    with pytest.raises(FanError, match="ambiguous minimal cone"):
+        primitive_relation(fan, (1, 2, 3, 4, 5))
+    assert not lattice_equivalent(fan, fan)
+
+
 def test_is_fano(h1, p4):
     assert is_fano(h1)
     assert is_fano(p4)
@@ -179,6 +217,13 @@ def test_face_fan_derives_m5_combinatorics(database):
 def test_face_fan_rejects_non_interior_origin():
     rays = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
     with pytest.raises(FanError, match="not a Fano face fan"):
+        build_fan_from_rays(rays)
+
+
+def test_face_fan_needs_other_rays_strictly_below_the_facet():
+    # every facet of the 4-cube holds 8 vertices, so no 4-subset qualifies
+    rays = tuple(itertools.product((1, -1), repeat=4))
+    with pytest.raises(FanError, match="^not a Fano face fan: fan has no maximal cones$"):
         build_fan_from_rays(rays)
 
 
