@@ -11,7 +11,9 @@ from .atlas import (
     AtlasDatabase,
     AtlasParseError,
     REFERENCE_TABLE,
+    VarietyAnalysis,
     VarietyRecord,
+    analyse,
     parse,
     record_fan,
     render,

@@ -20,21 +20,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterator
 
+from .chern import Ch2Report, classify
 from .fan import (
+    DIM,
+    Cone,
     Fan,
     FanError,
+    PrimitiveRelation,
     build_fan,
     build_fan_from_rays,
-    is_fano,
     minimal_nonfaces,
+    primitive_relation,
     validate_fan,
 )
 
 LatticePoint = tuple[int, int, int, int]
+
+# A smooth Fano d-polytope has at most 3d vertices (Casagrande, Ann. Inst.
+# Fourier 56, 2006), so a record with more rays is rejected unbuilt.
+MAX_RAYS = 3 * DIM
 
 
 class AtlasParseError(ValueError):
@@ -187,11 +195,120 @@ def render(db: AtlasDatabase) -> str:
     return "\n\n".join(chunks) + ("\n" if chunks else "")
 
 
+class VarietyAnalysis:
+    """What is computed about one record, each part on first use.
+
+    The fan is built once, and its minimal non-faces and primitive relations
+    are computed once; the validation report, the relation lines of
+    ``toricfano show`` and the ch2 report all read them. ``fan`` raises
+    :class:`FanError` when the record does not describe a fan, ``report``
+    never raises.
+    """
+
+    def __init__(self, record: VarietyRecord):
+        self.record = record
+        self._relations: dict[Cone, PrimitiveRelation] = {}
+
+    @cached_property
+    def fan(self) -> Fan:
+        rec = self.record
+        if rec.collections is None:
+            return build_fan_from_rays(rec.rays)
+        return build_fan(rec.rays, rec.collections)
+
+    @cached_property
+    def nonfaces(self) -> tuple[Cone, ...]:
+        return minimal_nonfaces(self.fan)
+
+    def relation(self, collection: Cone) -> PrimitiveRelation:
+        """The primitive relation of a sorted collection of the fan."""
+        rel = self._relations.get(collection)
+        if rel is None:
+            rel = self._relations[collection] = primitive_relation(self.fan, collection)
+        return rel
+
+    @cached_property
+    def report(self) -> RecordReport:
+        """The four structural checks; see :func:`validate_record`."""
+        rec = self.record
+        report = RecordReport(rec.name)
+        if len(rec.rays) > MAX_RAYS:
+            report.problems.append(
+                f"{len(rec.rays)} rays exceed the bound of {MAX_RAYS} for a smooth Fano 4-fold"
+                " (at most 3d rays, Casagrande 2006)"
+            )
+            return report
+        report.problems.extend(_ray_problems(rec))
+        if report.problems:
+            return report
+        try:
+            fan = self.fan
+        except FanError as exc:
+            report.problems.append(str(exc))
+            return report
+        used = {i for mc in fan.maxcones for i in mc}
+        for i in range(1, fan.ray_count + 1):
+            if i not in used:
+                report.problems.append(f"ray {i} lies in no maximal cone")
+        if report.problems:
+            return report
+        if rec.collections is None:
+            # build_fan_from_rays raises unless the face fan validates
+            report.smooth = report.complete = True
+        else:
+            fan_report = validate_fan(fan)
+            report.smooth = fan_report.smooth
+            report.complete = fan_report.complete
+            report.problems.extend(fan_report.problems)
+            if not fan_report.ok:
+                return report
+
+        derived = frozenset(self.nonfaces)
+        if rec.collections is None or rec.collections_derived:
+            report.round_trip = True
+        else:
+            declared = frozenset(tuple(c) for c in rec.collections)
+            report.round_trip = declared == derived
+            if not report.round_trip:
+                missing = sorted(declared - derived)
+                extra = sorted(derived - declared)
+                report.problems.append(
+                    f"collections do not round-trip (declared-only {missing}, derived-only {extra})"
+                )
+        try:
+            report.fano = all(self.relation(p).degree > 0 for p in self.nonfaces)
+            if not report.fano:
+                report.problems.append("a primitive relation has nonpositive degree")
+        except FanError as exc:
+            report.problems.append(str(exc))
+        return report
+
+    @cached_property
+    def ch2(self) -> Ch2Report:
+        """ch2 on every invariant surface; expects a record that validated."""
+        return classify(self.fan)
+
+
+_last_analysis: VarietyAnalysis | None = None
+
+
+def analyse(rec: VarietyRecord) -> VarietyAnalysis:
+    """The analysis of ``rec``.
+
+    Only the most recent analysis is kept, so a caller that validates a
+    record and then asks for its fan builds the fan once, while a pass over
+    a whole atlas holds one fan at a time.
+    """
+    global _last_analysis
+    analysis = _last_analysis
+    if analysis is None or analysis.record is not rec:
+        analysis = _last_analysis = VarietyAnalysis(rec)
+    return analysis
+
+
 def record_fan(rec: VarietyRecord) -> Fan:
     """Build the record's fan, deriving cones from rays when needed."""
-    if rec.collections is None:
-        return build_fan_from_rays(rec.rays)
-    return build_fan(rec.rays, rec.collections)
+    return analyse(rec).fan
 
 
 def _ray_problems(rec: VarietyRecord) -> list[str]:
@@ -216,49 +333,10 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
     declared collections equal the minimal non-faces of the built fan (it is
     vacuous for records whose collections were derived in the first place);
     the Fano check requires every relation degree to be positive. Records
-    with zero, non-primitive, repeated or unused rays fail outright.
+    with more than :data:`MAX_RAYS` rays, or with zero, non-primitive,
+    repeated or unused rays, fail outright.
     """
-    report = RecordReport(rec.name)
-    report.problems.extend(_ray_problems(rec))
-    if report.problems:
-        return report
-    try:
-        fan = record_fan(rec)
-    except FanError as exc:
-        report.problems.append(str(exc))
-        return report
-    used = {i for mc in fan.maxcones for i in mc}
-    for i in range(1, fan.ray_count + 1):
-        if i not in used:
-            report.problems.append(f"ray {i} lies in no maximal cone")
-    if report.problems:
-        return report
-    fan_report = validate_fan(fan)
-    report.smooth = fan_report.smooth
-    report.complete = fan_report.complete
-    report.problems.extend(fan_report.problems)
-    if not (fan_report.ok):
-        return report
-
-    derived = frozenset(minimal_nonfaces(fan))
-    if rec.collections is None or rec.collections_derived:
-        report.round_trip = True
-    else:
-        declared = frozenset(tuple(c) for c in rec.collections)
-        report.round_trip = declared == derived
-        if not report.round_trip:
-            missing = sorted(declared - derived)
-            extra = sorted(derived - declared)
-            report.problems.append(
-                f"collections do not round-trip (declared-only {missing}, derived-only {extra})"
-            )
-    try:
-        report.fano = is_fano(fan)
-        if not report.fano:
-            report.problems.append("a primitive relation has nonpositive degree")
-    except FanError as exc:
-        report.problems.append(str(exc))
-    return report
+    return analyse(rec).report
 
 
 @lru_cache(maxsize=1)

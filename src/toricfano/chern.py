@@ -85,11 +85,15 @@ def _functional(fan: Fan, w: int, cone: Cone, u_fn: UFunction | None) -> tuple:
 def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | None = None) -> int | Fraction:
     """Intersection number of divisor ``w`` with the curve of 3-cone ``tau``.
 
-    An ``int`` with the default functional on a smooth fan. ``u_fn``
-    overrides the functional choice, which is useful for checking that the
-    choice does not matter.
+    An ``int`` with the default functional on a smooth fan, read from
+    :meth:`Fan.curve_numbers`. ``u_fn`` overrides the functional choice,
+    which is useful for checking that the choice does not matter.
     """
     tau = _cone(tau)
+    if u_fn is None:
+        numbers = fan.curve_numbers(tau)
+        if numbers is not None:
+            return numbers.get(w, 0)
     if w not in tau:
         return 1 if fan.is_maxcone(tau + (w,)) else 0
     u = _functional(fan, w, tau, u_fn)
@@ -131,13 +135,38 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     Computed as half the sum over all rays w of D_w . (D_w . V(sigma)),
     pairing the curve cycle of each square against the divisor again.
     Always a half-integer on a smooth fan.
+
+    By default the sum is read from the curve numbers of the walls
+    sigma + n, n in the link of sigma: D_w . V(sigma) is the curve of
+    sigma + w for w in the link, sum_n -<u_w, v_n> times the curve of
+    sigma + n for w in sigma (u_w = ``fan.dual(w, sigma)``), and zero
+    otherwise. With ``u_fn``, on a non-face and on a degenerate maximal
+    cone the divisor-by-divisor route below is taken instead.
     """
     sigma = _cone(sigma)
-    total = 0
-    for w in range(1, fan.ray_count + 1):
-        for tau, coeff in divisor_dot_surface(fan, w, sigma, u_fn).items():
-            total += coeff * divisor_dot_curve(fan, w, tau, u_fn)
+    total = None if u_fn is not None else _wall_sum(fan, sigma)
+    if total is None:
+        total = 0
+        for w in range(1, fan.ray_count + 1):
+            for tau, coeff in divisor_dot_surface(fan, w, sigma, u_fn).items():
+                total += coeff * divisor_dot_curve(fan, w, tau, u_fn)
     return Fraction(total, 2)
+
+
+def _wall_sum(fan: Fan, sigma: Cone):
+    """sum_w D_w . (D_w . V(sigma)) from the wall table, or ``None`` when a
+    dual functional or a wall's curve numbers are unavailable."""
+    duals = [fan.dual(w, sigma) for w in sigma]
+    if None in duals:
+        return None
+    total = 0
+    for n in fan.link(sigma):
+        numbers = fan.curve_numbers(_cone(sigma + (n,)))
+        if numbers is None:
+            return None
+        v = fan.ray(n)
+        total += numbers[n] - sum(dot(u, v) * numbers[w] for w, u in zip(sigma, duals))
+    return total
 
 
 def anticanonical_degree(fan: Fan, tau: Iterable[int]) -> Fraction:

@@ -16,12 +16,12 @@ import sys
 from .atlas import (
     REFERENCE_TABLE,
     AtlasParseError,
+    analyse,
     parse,
-    record_fan,
     shipped_database,
     validate_record,
 )
-from .chern import ch2_dot_surface, classify
+from .chern import ch2_dot_surface
 from .fan import FanError
 
 EXIT_OK = 0
@@ -79,20 +79,10 @@ def cmd_show(args) -> int:
         return EXIT_OK
     tag = " (derived)" if rec.collections_derived else ""
     print(f"  collections{tag}:")
+    analysis = analyse(rec)
     try:
-        fan = record_fan(rec)
-        from .fan import primitive_relation
-
         for coll in rec.collections:
-            rel = primitive_relation(fan, coll)
-            if rel.sigma:
-                rhs = " + ".join(
-                    (f"{c}*v{j}" if c != 1 else f"v{j}") for j, c in sorted(rel.coeffs.items())
-                )
-            else:
-                rhs = "0"
-            lhs = " + ".join(f"v{i}" for i in coll)
-            print(f"    {{{', '.join(str(i) for i in coll)}}}: {lhs} = {rhs}  degree {rel.degree}")
+            print(f"    {analysis.relation(coll).describe()}")
     except FanError as exc:
         print(f"  (relations unavailable: {exc})")
         for coll in rec.collections:
@@ -118,10 +108,8 @@ def cmd_ch2(args) -> int:
     except KeyError:
         print(f"unknown variety: {args.name}", file=sys.stderr)
         return EXIT_FAIL
-    try:
-        fan = record_fan(rec)
-    except FanError as exc:
-        print(f"{rec.name}: {exc}", file=sys.stderr)
+    fan = _fan_to_compute_on(args, rec)
+    if fan is None:
         return EXIT_FAIL
 
     if args.surface is not None:
@@ -137,7 +125,7 @@ def cmd_ch2(args) -> int:
             print(value)
         return EXIT_OK
 
-    report = classify(fan)
+    report = analyse(rec).ch2
     rows = [
         {
             "variety": rec.name,
@@ -159,11 +147,25 @@ def cmd_ch2(args) -> int:
     return EXIT_OK
 
 
-def _classify_worker(rec):
-    report = validate_record(rec)
-    if not report.ok:
-        return rec.name, report, None
-    return rec.name, report, classify(record_fan(rec))
+def _print_failure(report) -> None:
+    for problem in report.problems:
+        print(f"{report.name}: {problem}", file=sys.stderr)
+    print(f"{report.name}: validation failed", file=sys.stderr)
+
+
+def _fan_to_compute_on(args, rec):
+    """The record's fan, or ``None`` once the reason is on stderr. Records
+    of a ``--db`` file must validate first; the test suite validates the
+    bundled ones."""
+    analysis = analyse(rec)
+    if args.db is not None and not analysis.report.ok:
+        _print_failure(analysis.report)
+        return None
+    try:
+        return analysis.fan
+    except FanError as exc:
+        print(f"{rec.name}: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_classify(args) -> int:
@@ -182,28 +184,33 @@ def cmd_classify(args) -> int:
                 print(f"unknown variety: {name}", file=sys.stderr)
                 return EXIT_FAIL
 
-    results = [_classify_worker(rec) for rec in targets]
-    failed = [(name, rep) for name, rep, out in results if out is None]
-    if failed:
-        for name, rep in failed:
-            for problem in rep.problems:
-                print(f"{name}: {problem}", file=sys.stderr)
-            print(f"{name}: validation failed", file=sys.stderr)
-        return EXIT_FAIL
-
+    # one analysis at a time: each fan is dropped once its row is made, and
+    # after a failure only validation goes on, since no row will be printed
     rows = []
     two_fano = []
-    for name, _, report in results:
+    failed = []
+    for rec in targets:
+        analysis = analyse(rec)
+        if not analysis.report.ok:
+            failed.append(analysis.report)
+        if failed:
+            continue
+        report = analysis.ch2
         rows.append(
             {
-                "variety": name,
+                "variety": rec.name,
                 "surface": _surface_str(report.witness),
                 "value": str(report.min_value),
                 "classification": report.classification,
             }
         )
         if report.classification == "two_fano":
-            two_fano.append(name)
+            two_fano.append(rec.name)
+    if failed:
+        for report in failed:
+            _print_failure(report)
+        return EXIT_FAIL
+
     columns = ["variety", "surface", "value", "classification"]
     if args.format == "json":
         payload = {
@@ -221,7 +228,6 @@ def cmd_classify(args) -> int:
 
 def cmd_paper_table(args) -> int:
     db = _load_db(args)
-    fans = {}
     rows = []
     mismatches = []
     for name, surface, expected in REFERENCE_TABLE:
@@ -230,13 +236,9 @@ def cmd_paper_table(args) -> int:
         except KeyError:
             print(f"missing variety: {name}", file=sys.stderr)
             return EXIT_FAIL
-        if name not in fans:
-            try:
-                fans[name] = record_fan(rec)
-            except FanError as exc:
-                print(f"{name}: {exc}", file=sys.stderr)
-                return EXIT_FAIL
-        fan = fans[name]
+        fan = _fan_to_compute_on(args, rec)
+        if fan is None:
+            return EXIT_FAIL
         sigma = tuple(sorted(surface))
         if sigma not in fan.cones2:
             mismatches.append(f"{name} {_surface_str(surface)}: surface is not a cone")

@@ -55,6 +55,7 @@ class Fan:
     the 2- and 3-dimensional cones) is precomputed so lookups are cheap.
     Each face is held by one maximal cone (the first in sorted order), whose
     dual basis, computed on first use, serves every functional on that face.
+    Links of faces and curve numbers of walls are cached on first use too.
     """
 
     def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone]):
@@ -70,6 +71,8 @@ class Fan:
         self.cones3: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 3))
         self.cones2: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 2))
         self._bases: dict[Cone, tuple] = {}
+        self._links: dict[Cone, tuple[int, ...]] = {}
+        self._curves: dict[Cone, dict | None] = {}
 
     @property
     def ray_count(self) -> int:
@@ -99,8 +102,10 @@ class Fan:
             adj, det = adjugate4([self.rays[i - 1] for i in mc])
             if det == 0:
                 duals = None
-            elif det in (1, -1):
-                duals = tuple(tuple(det * x for x in row) for row in adj)
+            elif det == 1:
+                duals = adj
+            elif det == -1:
+                duals = tuple(tuple(-x for x in row) for row in adj)
             else:
                 duals = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
             entry = self._bases[mc] = (duals, det)
@@ -119,6 +124,43 @@ class Fan:
             return None
         duals, _ = self.cone_basis(mc)
         return None if duals is None else duals[mc.index(w)]
+
+    def link(self, face: Cone) -> tuple[int, ...]:
+        """Rays ``n`` outside the sorted ``face`` with ``face + n`` a face."""
+        link = self._links.get(face)
+        if link is None:
+            container = self._container
+            link = self._links[face] = tuple(
+                n for n in range(1, len(self.rays) + 1) if n not in face and _cone(face + (n,)) in container
+            )
+        return link
+
+    def curve_numbers(self, tau: Cone) -> dict | None:
+        """Intersection numbers of the invariant divisors with the curve of wall ``tau``.
+
+        ``tau`` is a sorted 3-cone. The result maps ray index to number: 1 on
+        each neighbour n of ``tau`` (``tau + n`` a maximal cone), and
+        ``-sum_n <dual(w, tau), v_n>`` on each w in ``tau``; every other
+        divisor misses the curve. On a complete fan the two neighbours a, b
+        give the wall relation v_a + v_b = sum_w beta_w v_w and the number
+        on w is -beta_w. ``None`` when ``tau`` is not a 3-dimensional face
+        or its maximal cone is degenerate.
+        """
+        try:
+            return self._curves[tau]
+        except KeyError:
+            pass
+        numbers = None
+        mc = self._container.get(tau) if len(tau) == 3 else None
+        duals = None if mc is None else self.cone_basis(mc)[0]
+        if duals is not None:
+            link = self.link(tau)
+            neighbour_sum = tuple(map(sum, zip(*(self.rays[n - 1] for n in link))))
+            numbers = dict.fromkeys(link, 1)
+            for w in tau:
+                numbers[w] = -dot(duals[mc.index(w)], neighbour_sum)
+        self._curves[tau] = numbers
+        return numbers
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Fan):
@@ -142,6 +184,14 @@ class PrimitiveRelation:
     sigma: Cone
     coeffs: dict[int, int]
     degree: int
+
+    def describe(self) -> str:
+        """The relation as ``toricfano show`` prints it, e.g.
+        ``{1, 6}: v1 + v6 = v7  degree 1``."""
+        members = ", ".join(str(i) for i in self.collection)
+        lhs = " + ".join(f"v{i}" for i in self.collection)
+        rhs = " + ".join(f"{c}*v{j}" if c != 1 else f"v{j}" for j, c in sorted(self.coeffs.items()))
+        return f"{{{members}}}: {lhs} = {rhs or '0'}  degree {self.degree}"
 
 
 @dataclass
@@ -221,16 +271,19 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
     """All minimal non-faces of the fan, i.e. its primitive collections.
 
     A subset of size 2 to 5 qualifies when it is not a face but every proper
-    subset is. Checking the facets of each candidate suffices because faces
-    are downward closed.
+    subset is; checking its facets suffices because faces are downward
+    closed. Dropping the largest member of a minimal non-face leaves a face,
+    so the candidates are the nonempty faces extended by one larger ray
+    index, and that facet needs no check.
     """
+    faces = fan._container
     found = []
-    indices = range(1, fan.ray_count + 1)
-    for size in range(2, 6):
-        for sub in itertools.combinations(indices, size):
-            if fan.is_face(sub):
-                continue
-            if all(fan.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
+    for face in faces:
+        if not face:
+            continue
+        for r in range(face[-1] + 1, fan.ray_count + 1):
+            sub = face + (r,)
+            if sub not in faces and all(sub[:k] + sub[k + 1 :] in faces for k in range(len(face))):
                 found.append(sub)
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 

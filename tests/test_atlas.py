@@ -8,6 +8,7 @@ from toricfano.atlas import (
     shipped_database,
     validate_record,
 )
+from toricfano.fan import build_fan
 
 H1_TEXT = """\
 # a record transcribed by hand, with noise the parser must ignore
@@ -200,3 +201,35 @@ def test_validate_record_catches_unused_ray(database):
     report = validate_record(replace(p4, rays=rays, collections=colls))
     assert not report.ok
     assert any("no maximal cone" in p for p in report.problems)
+
+
+def test_validate_record_bounds_the_ray_count(monkeypatch):
+    from toricfano import atlas
+
+    def no_fan(*args):
+        raise AssertionError("a fan was built for a record over the ray bound")
+
+    monkeypatch.setattr(atlas, "build_fan", no_fan)
+    monkeypatch.setattr(atlas, "build_fan_from_rays", no_fan)
+    rays = tuple((1, i, i * i, 0) for i in range(12)) + ((0, 0, 0, 1),)
+    for collections in (None, ((1, 2), (3, 4, 5))):
+        report = validate_record(atlas.VarietyRecord("big", rays, collections))
+        assert not report.ok
+        assert report.problems == [
+            "13 rays exceed the bound of 12 for a smooth Fano 4-fold (at most 3d rays, Casagrande 2006)"
+        ]
+
+
+def test_validate_then_record_fan_builds_one_fan(monkeypatch, database):
+    from toricfano import atlas
+
+    built = []
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    monkeypatch.setattr(atlas, "build_fan", lambda *args: built.append(args) or build_fan(*args))
+    h1, p4 = database.lookup("H1"), database.lookup("P4")
+    assert validate_record(h1).ok
+    fan = atlas.record_fan(h1)
+    assert validate_record(h1) is validate_record(h1)
+    assert len(built) == 1 and fan.rays == h1.rays
+    atlas.record_fan(p4)
+    assert len(built) == 2

@@ -237,3 +237,65 @@ def test_output_is_deterministic(capsys):
     _, a, _ = run(capsys, "--jobs", "1", "classify", "H1", "E1", "117")
     _, b, _ = run(capsys, "--jobs", "3", "classify", "H1", "E1", "117")
     assert a == b
+
+
+# a degenerate record: v3 = v1 + v2, so cones (1, 2, 3, *) have determinant 0
+DEGENERATE = (
+    "rays 5\n1 0 0 0\n0 1 0 0\n1 1 0 0\n0 0 0 1\n-1 -1 -1 -1\n"
+    "collections 1\n1 2 3 4 5\nend\n"
+)
+DEGENERATE_ERR = [
+    "cone (1, 2, 3, 4) is degenerate",
+    "cone (1, 2, 3, 4) has determinant 0",
+    "cone (1, 2, 3, 5) is degenerate",
+    "cone (1, 2, 3, 5) has determinant 0",
+    "validation failed",
+]
+
+
+def test_ch2_validates_a_user_atlas(tmp_path, capsys):
+    db = tmp_path / "degenerate.txt"
+    db.write_text("variety D\n" + DEGENERATE)
+    for extra in ([], ["--surface", "1,2"]):
+        code, out, err = run(capsys, "--db", str(db), "ch2", "D", *extra)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"D: {line}" for line in DEGENERATE_ERR]
+
+
+def test_paper_table_validates_a_user_atlas(tmp_path, capsys):
+    text = render(shipped_database()).replace("variety E1\n", "variety E1x\n", 1)
+    db = tmp_path / "degenerate-e1.txt"
+    db.write_text("variety E1\n" + DEGENERATE + "\n" + text)
+    code, out, err = run(capsys, "--db", str(db), "paper-table")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"E1: {line}" for line in DEGENERATE_ERR]
+
+
+def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from toricfano import atlas, fan
+
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            result = original(*args)
+            key = args[0] if name != "minimal_nonfaces" else args[0].rays
+            calls[name, key] += 1
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    for name in ("build_fan", "build_fan_from_rays", "minimal_nonfaces"):
+        wrapped = counted(name, getattr(fan, name))
+        for module in (fan, atlas):
+            monkeypatch.setattr(module, name, wrapped)
+    code, out, _ = run(capsys, "classify", "--all")
+    assert code == 0 and out.splitlines()[-1] == "# two_fano 1 of 67: P4"
+    rays = Counter(tuple(tuple(v) for v in rec.rays) for rec in shipped_database())
+    builds = Counter({key: n for (name, key), n in calls.items() if name.startswith("build_fan")})
+    nonfaces = Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"})
+    assert builds == rays
+    assert nonfaces == rays

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from helpers import wall_curve_oracle
 
 from toricfano.exactlin import dot
 from toricfano.fan import (
@@ -292,3 +293,48 @@ def test_lattice_equivalent_reflexive_and_transform_invariant(h1):
 def test_lattice_equivalent_separates_different_varieties(fans):
     assert not lattice_equivalent(fans["H1"], fans["H4"])
     assert not lattice_equivalent(fans["P4"], fans["E1"])
+
+
+def _brute_force_nonfaces(fan):
+    """Every 2- to 5-subset that is not a face while all its facets are."""
+    found = []
+    for size in range(2, 6):
+        for sub in itertools.combinations(range(1, fan.ray_count + 1), size):
+            if not fan.is_face(sub) and all(fan.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
+                found.append(sub)
+    return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
+def test_minimal_nonfaces_equals_brute_force(fans):
+    samples = dict(fans)
+    samples["P(1,1,1,1,2)"] = build_fan(WP_RAYS, ((1, 2, 3, 4, 5),))
+    for name, fan in samples.items():
+        assert minimal_nonfaces(fan) == _brute_force_nonfaces(fan), name
+
+
+def test_curve_numbers_match_the_wall_oracle(fans):
+    for name, fan in fans.items():
+        for tau in fan.cones3:
+            numbers = fan.curve_numbers(tau)
+            assert len(fan.link(tau)) == 2 and set(numbers) == set(tau + fan.link(tau)), (name, tau)
+            for w in range(1, fan.ray_count + 1):
+                assert numbers.get(w, 0) == wall_curve_oracle(fan, w, tau), (name, tau, w)
+
+
+def test_curve_numbers_need_a_nondegenerate_wall():
+    rays = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
+    fan = build_fan(rays, ((1, 2, 3, 4, 5),))
+    assert fan.curve_numbers((1, 2, 3)) is None  # its maximal cone is degenerate
+    p4 = build_fan(P4_RAYS, ((1, 2, 3, 4, 5),))
+    assert p4.curve_numbers((1, 2)) is None  # not a wall
+    # every invariant curve of P4 is a line, meeting each hyperplane once
+    assert p4.curve_numbers((1, 2, 3)) == dict.fromkeys(range(1, 6), 1)
+    assert p4.link((1, 2)) == (3, 4, 5)
+
+
+def test_primitive_relation_describe(h1, p4):
+    assert primitive_relation(p4, (1, 2, 3, 4, 5)).describe() == (
+        "{1, 2, 3, 4, 5}: v1 + v2 + v3 + v4 + v5 = 0  degree 5"
+    )
+    assert primitive_relation(h1, (2, 7)).describe() == "{2, 7}: v2 + v7 = 0  degree 2"
+    assert primitive_relation(h1, (3, 4, 5)).describe() == "{3, 4, 5}: v3 + v4 + v5 = 2*v1  degree 1"
