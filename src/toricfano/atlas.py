@@ -44,6 +44,9 @@ LatticePoint = tuple[int, int, int, int]
 # Fourier 56, 2006), so a record with more rays is rejected unbuilt.
 MAX_RAYS = 3 * DIM
 
+# A record's report lists at most this many problems, then how many it hides.
+MAX_PROBLEMS = 10
+
 
 class AtlasParseError(ValueError):
     """Malformed atlas text; the message carries the offending line number."""
@@ -212,6 +215,11 @@ class VarietyAnalysis:
     @cached_property
     def fan(self) -> Fan:
         rec = self.record
+        if len(rec.rays) > MAX_RAYS:
+            raise FanError(
+                f"{len(rec.rays)} rays exceed the bound of {MAX_RAYS} for a smooth Fano 4-fold"
+                " (at most 3d rays, Casagrande 2006)"
+            )
         if rec.collections is None:
             return build_fan_from_rays(rec.rays)
         return build_fan(rec.rays, rec.collections)
@@ -229,29 +237,31 @@ class VarietyAnalysis:
 
     @cached_property
     def report(self) -> RecordReport:
-        """The four structural checks; see :func:`validate_record`."""
+        """The four structural checks, see :func:`validate_record`, with at
+        most :data:`MAX_PROBLEMS` problems listed."""
+        report = RecordReport(self.record.name)
+        self._check(report)
+        hidden = len(report.problems) - MAX_PROBLEMS
+        if hidden > 0:
+            report.problems[MAX_PROBLEMS:] = [f"{hidden} more problems not shown"]
+        return report
+
+    def _check(self, report: RecordReport) -> None:
         rec = self.record
-        report = RecordReport(rec.name)
-        if len(rec.rays) > MAX_RAYS:
-            report.problems.append(
-                f"{len(rec.rays)} rays exceed the bound of {MAX_RAYS} for a smooth Fano 4-fold"
-                " (at most 3d rays, Casagrande 2006)"
-            )
-            return report
         report.problems.extend(_ray_problems(rec))
         if report.problems:
-            return report
+            return
         try:
             fan = self.fan
         except FanError as exc:
             report.problems.append(str(exc))
-            return report
+            return
         used = {i for mc in fan.maxcones for i in mc}
         for i in range(1, fan.ray_count + 1):
             if i not in used:
                 report.problems.append(f"ray {i} lies in no maximal cone")
         if report.problems:
-            return report
+            return
         if rec.collections is None:
             # build_fan_from_rays raises unless the face fan validates
             report.smooth = report.complete = True
@@ -261,7 +271,7 @@ class VarietyAnalysis:
             report.complete = fan_report.complete
             report.problems.extend(fan_report.problems)
             if not fan_report.ok:
-                return report
+                return
 
         derived = frozenset(self.nonfaces)
         if rec.collections is None or rec.collections_derived:
@@ -281,7 +291,6 @@ class VarietyAnalysis:
                 report.problems.append("a primitive relation has nonpositive degree")
         except FanError as exc:
             report.problems.append(str(exc))
-        return report
 
     @cached_property
     def ch2(self) -> Ch2Report:

@@ -29,10 +29,10 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 
 
-def _load_db(args):
-    if args.db is None:
+def _load_db(path):
+    if path is None:
         return shipped_database()
-    with open(args.db, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         return parse(handle.read())
 
 
@@ -51,7 +51,7 @@ def _print_rows(args, columns, rows) -> None:
 
 
 def cmd_list(args) -> int:
-    db = _load_db(args)
+    db = _load_db(args.db)
     rows = [
         {
             "variety": rec.name,
@@ -65,7 +65,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_show(args) -> int:
-    db = _load_db(args)
+    db = _load_db(args.db)
     try:
         rec = db.lookup(args.name)
     except KeyError:
@@ -102,7 +102,7 @@ def _parse_surface(text: str) -> tuple[int, int]:
 
 
 def cmd_ch2(args) -> int:
-    db = _load_db(args)
+    db = _load_db(args.db)
     try:
         rec = db.lookup(args.name)
     except KeyError:
@@ -169,7 +169,7 @@ def _fan_to_compute_on(args, rec):
 
 
 def cmd_classify(args) -> int:
-    db = _load_db(args)
+    db = _load_db(args.db)
     if args.all:
         targets = list(db)
     else:
@@ -227,7 +227,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_paper_table(args) -> int:
-    db = _load_db(args)
+    db = _load_db(args.db)
     rows = []
     mismatches = []
     for name, surface, expected in REFERENCE_TABLE:
@@ -258,11 +258,7 @@ def cmd_paper_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.file is None:
-        db = shipped_database()
-    else:
-        with open(args.file, encoding="utf-8") as handle:
-            db = parse(handle.read())
+    db = _load_db(args.db if args.file is None else args.file)
     reports = [validate_record(rec) for rec in db]
     rows = []
     all_ok = True
@@ -351,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = subparser("validate", cmd_validate, "run structural checks on an atlas file")
-    p.add_argument("file", nargs="?", help="atlas file (default: bundled database)")
+    p.add_argument("file", nargs="?", help="atlas file (default: the --db file, else the bundled database)")
 
     return parser
 

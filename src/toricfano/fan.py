@@ -32,12 +32,6 @@ Cone = tuple[int, ...]
 
 DIM = 4
 
-# Coverage probes for the completeness check: the 8 signed unit vectors plus
-# the 16 sign vectors. A complete fan must contain every one of them.
-PROBES: tuple[LatticePoint, ...] = tuple(
-    tuple(s if j == i else 0 for j in range(DIM)) for i in range(DIM) for s in (1, -1)
-) + tuple(itertools.product((1, -1), repeat=DIM))
-
 
 class FanError(ValueError):
     """Input data does not describe a valid smooth complete fan."""
@@ -347,10 +341,17 @@ def validate_fan(fan: Fan) -> FanReport:
     """Check simpliciality, smoothness and completeness.
 
     Smooth means every maximal cone's generators form a basis of the lattice
-    (determinant +-1). Complete is tested two ways: every 3-dimensional cone
-    must be a wall shared by exactly two maximal cones, and each of the 24
-    probe directions must lie in at least one maximal cone (by exact
-    nonnegative coordinates). Failures are reported, never raised.
+    (determinant +-1). Complete is proved from the walls of a simplicial fan
+    by three checks: every 3-dimensional cone lies in exactly two maximal
+    cones, those two lie on opposite sides of it, and the sum of the rays of
+    the first maximal cone, an interior point of it, lies in no other
+    maximal cone. Then the number of maximal cones containing a point that
+    moves on a path avoiding the 2-dimensional cones changes only where the
+    path crosses a wall, and there it stays the same: the point leaves one
+    of the wall's two cones and enters the other. That complement is
+    connected, so the number is the same at every point off the walls, and
+    the third check makes it 1: the cones cover the space without
+    overlapping. Failures are reported, never raised.
     """
     problems = []
     simplicial_ok = True
@@ -364,23 +365,21 @@ def validate_fan(fan: Fan) -> FanReport:
             smooth = False
             problems.append(f"cone {mc} has determinant {d}")
 
-    complete = bool(fan.maxcones)
-    if not fan.maxcones:
-        problems.append("fan has no maximal cones")
-    wall_count: dict[Cone, int] = {}
-    for mc in fan.maxcones:
-        for wall in itertools.combinations(mc, 3):
-            wall_count[wall] = wall_count.get(wall, 0) + 1
-    for wall, count in sorted(wall_count.items()):
-        if count != 2:
-            complete = False
-            problems.append(f"wall {wall} lies in {count} maximal cone(s)")
-    if simplicial_ok and complete:
-        for probe in PROBES:
-            if not any(_contains_point(fan, mc, probe) for mc in fan.maxcones):
-                complete = False
-                problems.append(f"direction {probe} not covered by any maximal cone")
-    return FanReport(smooth, complete, simplicial_ok, problems)
+    gaps = [] if fan.maxcones else ["fan has no maximal cones"]
+    for wall in fan.cones3:
+        if len(fan.link(wall)) != 2:
+            gaps.append(f"wall {wall} lies in {len(fan.link(wall))} maximal cone(s)")
+    if simplicial_ok and not gaps:
+        for wall in fan.cones3:
+            a, b = fan.link(wall)
+            cone_a, cone_b = _cone(wall + (a,)), _cone(wall + (b,))
+            if dot(fan.dual(a, cone_a), fan.ray(b)) >= 0:
+                gaps.append(f"cones {cone_a} and {cone_b} lie on one side of wall {wall}")
+        first = fan.maxcones[0]
+        point = tuple(map(sum, zip(*(fan.ray(i) for i in first))))
+        overlapping = (mc for mc in fan.maxcones[1:] if _contains_point(fan, mc, point))
+        gaps.extend(f"cones {first} and {mc} overlap" for mc in overlapping)
+    return FanReport(smooth, not gaps, simplicial_ok, problems + gaps)
 
 
 def is_fano(fan: Fan) -> bool:

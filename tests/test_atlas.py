@@ -233,3 +233,14 @@ def test_validate_then_record_fan_builds_one_fan(monkeypatch, database):
     assert len(built) == 1 and fan.rays == h1.rays
     atlas.record_fan(p4)
     assert len(built) == 2
+
+
+def test_record_report_caps_its_problems():
+    from toricfano.atlas import MAX_PROBLEMS, VarietyRecord
+
+    # each zero ray is a problem, and so is each ray that repeats the first
+    report = validate_record(VarietyRecord("zeros", ((0, 0, 0, 0),) * 12))
+    assert not report.ok
+    assert len(report.problems) == MAX_PROBLEMS + 1
+    assert report.problems[:3] == ["ray 1 is zero", "ray 2 is zero", "rays 1 and 2 coincide"]
+    assert report.problems[-1] == f"{23 - MAX_PROBLEMS} more problems not shown"

@@ -299,3 +299,62 @@ def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
     nonfaces = Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"})
     assert builds == rays
     assert nonfaces == rays
+
+
+def test_validate_reads_the_db_file(tmp_path, capsys):
+    p4 = shipped_database().lookup("P4")
+    bad = replace(p4, name="P4x", rays=p4.rays[:4] + ((-2, -1, -1, -1),))
+    from toricfano.atlas import AtlasDatabase
+
+    path = tmp_path / "bad.txt"
+    path.write_text(render(AtlasDatabase((bad,))))
+    code, out, err = run(capsys, "--db", str(path), "validate")
+    assert code == 1
+    assert out.splitlines()[1:] == ["P4x\tfalse\ttrue\tfalse\tfalse\tfalse"]
+    assert err.splitlines() == ["P4x: cone (2, 3, 4, 5) has determinant 2"]
+
+
+def test_show_does_not_build_a_record_over_the_ray_bound(tmp_path, monkeypatch, capsys):
+    from toricfano import atlas
+
+    def no_fan(*args):
+        raise AssertionError("a fan was built for a record over the ray bound")
+
+    monkeypatch.setattr(atlas, "build_fan", no_fan)
+    monkeypatch.setattr(atlas, "build_fan_from_rays", no_fan)
+    rays = tuple((1, i, i * i, 0) for i in range(12)) + ((0, 0, 0, 1),)
+    path = tmp_path / "big.txt"
+    path.write_text(render(atlas.AtlasDatabase((atlas.VarietyRecord("big", rays, ((1, 2), (3, 4, 5))),))))
+    code, out, err = run(capsys, "--db", str(path), "show", "big")
+    assert (code, err) == (0, "")
+    assert "  (relations unavailable: 13 rays exceed the bound of 12 for a smooth Fano 4-fold" in out
+    assert out.splitlines()[-2:] == ["    {1, 2}", "    {3, 4, 5}"]
+
+
+def test_validate_names_a_wall_with_both_cones_on_one_side(tmp_path, capsys):
+    # swapping rays 2 and 6 of E3 is no symmetry of its collections: the
+    # walls still pair up, but some pairs of cones lie on one side
+    e3 = shipped_database().lookup("E3")
+    rays = list(e3.rays)
+    rays[1], rays[5] = rays[5], rays[1]
+    from toricfano.atlas import AtlasDatabase
+
+    path = tmp_path / "swapped.txt"
+    path.write_text(render(AtlasDatabase((replace(e3, name="E3s", rays=tuple(rays)),))))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out.splitlines()[1] == "E3s\ttrue\tfalse\tfalse\tfalse\tfalse"
+    assert err.splitlines()[0] == "E3s: cones (2, 3, 4, 6) and (2, 3, 4, 7) lie on one side of wall (2, 3, 4)"
+
+
+def test_validate_caps_the_problems_of_a_record(tmp_path, capsys):
+    from toricfano.atlas import MAX_PROBLEMS
+
+    path = tmp_path / "zeros.txt"
+    path.write_text("variety Z\nrays 12\n" + "0 0 0 0\n" * 12 + "end\n")
+    code, _, err = run(capsys, "validate", str(path))
+    lines = err.splitlines()
+    assert code == 1
+    assert len(lines) == MAX_PROBLEMS + 1
+    assert all(line.startswith("Z: ") for line in lines)
+    assert lines[-1] == f"Z: {23 - MAX_PROBLEMS} more problems not shown"

@@ -338,3 +338,63 @@ def test_primitive_relation_describe(h1, p4):
     )
     assert primitive_relation(h1, (2, 7)).describe() == "{2, 7}: v2 + v7 = 0  degree 2"
     assert primitive_relation(h1, (3, 4, 5)).describe() == "{3, 4, 5}: v3 + v4 + v5 = 2*v1  degree 1"
+
+
+def _swap_maps_collections_onto_themselves(collections, i, j):
+    swap = {i: j, j: i}
+    return {tuple(sorted(swap.get(k, k) for k in c)) for c in collections} == set(collections)
+
+
+def test_validate_fan_accepts_exactly_the_swaps_that_preserve_the_collections(database):
+    # swapping two rays keeps the cones, so the result is a fan exactly when
+    # the transposition is a symmetry of the collection set
+    swaps = 0
+    for rec in database:
+        if rec.collections_derived:
+            continue
+        for i, j in itertools.combinations(range(1, len(rec.rays) + 1), 2):
+            rays = list(rec.rays)
+            rays[i - 1], rays[j - 1] = rays[j - 1], rays[i - 1]
+            report = validate_fan(build_fan(rays, rec.collections))
+            expected = _swap_maps_collections_onto_themselves(rec.collections, i, j)
+            assert report.ok == expected, (rec.name, i, j, report.problems)
+            swaps += 1
+    assert swaps == 2037
+
+
+# a pentagram times the fan of P2: the five plane cones between consecutive
+# points of the pentagram wind twice around the origin, so every wall pairs
+# up with its two cones on opposite sides and only the point check fails
+PENTAGRAM_RAYS = (
+    (1, 0, 0, 0),
+    (-4, 3, 0, 0),
+    (1, -3, 0, 0),
+    (1, 3, 0, 0),
+    (-4, -3, 0, 0),
+    (0, 0, 1, 0),
+    (0, 0, 0, 1),
+    (0, 0, -1, -1),
+)
+PENTAGRAM_CONES = tuple(
+    plane + line
+    for plane in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
+    for line in ((6, 7), (6, 8), (7, 8))
+)
+
+
+def test_validate_fan_catches_cones_that_cover_twice():
+    fan = Fan(PENTAGRAM_RAYS, PENTAGRAM_CONES)
+    assert all(len(fan.link(wall)) == 2 for wall in fan.cones3)
+    report = validate_fan(fan)
+    assert (report.complete, report.simplicial_ok) == (False, True)
+    assert [p for p in report.problems if "determinant" not in p] == [
+        "cones (1, 2, 6, 7) and (4, 5, 6, 7) overlap"
+    ]
+
+
+def test_validate_fan_names_a_wall_with_both_cones_on_one_side(p4):
+    # v1 moved to the other side of the wall (2, 3, 4) shared with v5's cone
+    rays = ((-1, 0, 0, 0),) + P4_RAYS[1:4] + ((-1, -1, -1, -1),)
+    report = validate_fan(Fan(rays, p4.maxcones))
+    assert report.smooth and not report.complete
+    assert "cones (1, 2, 3, 4) and (2, 3, 4, 5) lie on one side of wall (2, 3, 4)" in report.problems
