@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable
 
 from .exactlin import dot, solve
@@ -137,11 +138,12 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     Always a half-integer on a smooth fan.
 
     By default the sum is read from the curve numbers of the walls
-    sigma + n, n in the link of sigma: D_w . V(sigma) is the curve of
-    sigma + w for w in the link, sum_n -<u_w, v_n> times the curve of
-    sigma + n for w in sigma (u_w = ``fan.dual(w, sigma)``), and zero
-    otherwise. With ``u_fn``, on a non-face and on a degenerate maximal
-    cone the divisor-by-divisor route below is taken instead.
+    sigma + n, n in the link of sigma (:meth:`Fan.wall_relation`, computed
+    once per wall): D_w . V(sigma) is the curve of sigma + w for w in the
+    link, sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
+    (u_w = ``fan.dual(w, sigma)``), and zero otherwise. With ``u_fn``, on a
+    non-face, on a degenerate maximal cone and on a wall outside exactly two
+    maximal cones the divisor-by-divisor route below is taken instead.
     """
     sigma = _cone(sigma)
     total = None if u_fn is not None else _wall_sum(fan, sigma)
@@ -154,18 +156,29 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
 
 
 def _wall_sum(fan: Fan, sigma: Cone):
-    """sum_w D_w . (D_w . V(sigma)) from the wall table, or ``None`` when a
-    dual functional or a wall's curve numbers are unavailable."""
-    duals = [fan.dual(w, sigma) for w in sigma]
-    if None in duals:
+    """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone from the wall table,
+    or ``None`` when a dual functional or a wall relation is unavailable.
+
+    For n in the link of sigma = (p, q), the wall tau = sigma + n has the
+    coordinates x = :meth:`Fan.wall_relation`, so its curve meets D_w in
+    -x_w points for w in tau. The term of n is then
+    -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q with u_p, u_q the duals of p, q
+    on sigma.
+    """
+    if len(sigma) != 2:
         return None
+    p, q = sigma
+    up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
+    if up is None or uq is None:
+        return None
+    rays = fan.rays
     total = 0
     for n in fan.link(sigma):
-        numbers = fan.curve_numbers(_cone(sigma + (n,)))
-        if numbers is None:
+        x = fan.wall_relation((n, p, q) if n < p else (p, n, q) if n < q else (p, q, n))
+        if x is None:
             return None
-        v = fan.ray(n)
-        total += numbers[n] - sum(dot(u, v) * numbers[w] for w, u in zip(sigma, duals))
+        v = rays[n - 1]
+        total += sum(map(mul, up, v)) * x[p] + sum(map(mul, uq, v)) * x[q] - x[n]
     return total
 
 
@@ -195,9 +208,15 @@ def classify(fan: Fan) -> Ch2Report:
     """Evaluate ch2 on every invariant surface and classify the variety.
 
     The witness is the lexicographically least 2-cone attaining the minimum.
-    Expects a validated smooth complete Fano fan.
+    Expects a validated smooth complete Fano fan. Each surface sums over the
+    walls around it (see :func:`ch2_dot_surface`), reading the coordinate
+    vector that :func:`~toricfano.fan.validate_fan` cached for every wall
+    and that also gave the wall's orientation sign.
     """
-    values = {sigma: ch2_dot_surface(fan, sigma) for sigma in fan.cones2}
+    values = {}
+    for sigma in fan.cones2:
+        total = _wall_sum(fan, sigma)
+        values[sigma] = ch2_dot_surface(fan, sigma) if total is None else Fraction(total, 2)
     witness = min(fan.cones2, key=lambda sigma: (values[sigma], sigma))
     min_value = values[witness]
     return Ch2Report(values, min_value, witness, _classification(min_value))

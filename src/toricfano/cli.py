@@ -74,18 +74,18 @@ def cmd_show(args) -> int:
     print(f"variety {rec.name}")
     for i, ray in enumerate(rec.rays, 1):
         print(f"  v{i} = ({', '.join(str(x) for x in ray)})")
-    if rec.collections is None:
-        print("  collections: derived from rays on load")
-        return EXIT_OK
-    tag = " (derived)" if rec.collections_derived else ""
-    print(f"  collections{tag}:")
     analysis = analyse(rec)
+    collections = rec.collections
+    tag = " (derived)" if collections is None or rec.collections_derived else ""
+    print(f"  collections{tag}:")
     try:
-        for coll in rec.collections:
+        if collections is None:
+            collections = analysis.nonfaces  # of the face fan of the rays
+        for coll in collections:
             print(f"    {analysis.relation(coll).describe()}")
     except FanError as exc:
         print(f"  (relations unavailable: {exc})")
-        for coll in rec.collections:
+        for coll in collections or ():
             print(f"    {{{', '.join(str(i) for i in coll)}}}")
     return EXIT_OK
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import adjugate4, dot, solve
@@ -45,11 +46,13 @@ class Fan:
     """An indexed ray list plus the set of maximal cones.
 
     Instances are built by :func:`build_fan` or :func:`build_fan_from_rays`
-    and treated as immutable afterwards; all derived structure (faces, walls,
-    the 2- and 3-dimensional cones) is precomputed so lookups are cheap.
-    Each face is held by one maximal cone (the first in sorted order), whose
-    dual basis, computed on first use, serves every functional on that face.
-    Links of faces and curve numbers of walls are cached on first use too.
+    and treated as immutable afterwards; the faces and the 2- and
+    3-dimensional cones are precomputed so lookups are cheap. Each face is
+    held by one maximal cone (the first in sorted order), whose dual basis,
+    computed on first use, serves every functional on that face. Links of
+    faces are cached on first use too, and so is one coordinate vector per
+    wall (:meth:`wall_relation`), which gives both the orientation sign
+    that :func:`validate_fan` checks and the curve numbers that ch2 reads.
     """
 
     def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone]):
@@ -66,7 +69,7 @@ class Fan:
         self.cones2: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 2))
         self._bases: dict[Cone, tuple] = {}
         self._links: dict[Cone, tuple[int, ...]] = {}
-        self._curves: dict[Cone, dict | None] = {}
+        self._walls: dict[Cone, dict | None] = {}
 
     @property
     def ray_count(self) -> int:
@@ -129,31 +132,55 @@ class Fan:
             )
         return link
 
+    def wall_relation(self, tau: Cone) -> dict | None:
+        """The wall relation of the sorted 3-cone ``tau``, as coordinates.
+
+        On a complete fan ``tau`` lies in two maximal cones, ``tau + a`` and
+        ``tau + b`` with a < b, and ``tau + a`` is the one holding ``tau``
+        (at the first place where the two sorted cones differ, one has a and
+        the other a larger ray). The result maps each ray k of ``tau + a``
+        to the coordinate x_k in ``v_b = sum_k x_k v_k``. The cones lie on
+        opposite sides of ``tau`` exactly when x_a < 0, and x_w for w in
+        ``tau`` gives the curve numbers (:meth:`curve_numbers`). Cached per
+        fan;
+        :func:`validate_fan` fills the cache for every wall. ``None`` when
+        ``tau`` does not lie in exactly two maximal cones or ``tau + a`` is
+        degenerate.
+        """
+        try:
+            return self._walls[tau]
+        except KeyError:
+            return self._wall_relation(tau, self.link(tau) if len(tau) == 3 else ())
+
+    def _wall_relation(self, tau: Cone, link: Sequence[int]) -> dict | None:
+        # ``link`` is that of tau, passed in by validate_fan, which finds
+        # the links of all walls at once; caches x for wall_relation
+        x = None
+        if len(link) == 2:
+            mc = self._container[tau]
+            duals = self.cone_basis(mc)[0]
+            if duals is not None:
+                v = self.rays[link[1] - 1]
+                x = {k: sum(map(mul, u, v)) for k, u in zip(mc, duals)}
+        self._walls[tau] = x
+        return x
+
     def curve_numbers(self, tau: Cone) -> dict | None:
         """Intersection numbers of the invariant divisors with the curve of wall ``tau``.
 
-        ``tau`` is a sorted 3-cone. The result maps ray index to number: 1 on
-        each neighbour n of ``tau`` (``tau + n`` a maximal cone), and
-        ``-sum_n <dual(w, tau), v_n>`` on each w in ``tau``; every other
-        divisor misses the curve. On a complete fan the two neighbours a, b
-        give the wall relation v_a + v_b = sum_w beta_w v_w and the number
-        on w is -beta_w. ``None`` when ``tau`` is not a 3-dimensional face
-        or its maximal cone is degenerate.
+        ``tau`` is a sorted 3-cone with neighbours a < b. The result maps ray
+        index to number: 1 on a and b, and ``-x_w`` on each w in ``tau``,
+        where x is :meth:`wall_relation`, so ``v_a + v_b = sum_w -x_w v_w``
+        is the wall relation; every other divisor misses the curve. This is
+        the number ``-<u_w, v_a + v_b>`` with ``u_w`` the dual of w on
+        ``tau + a``, because ``<u_w, v_a> = 0`` on that cone. ``None`` when
+        :meth:`wall_relation` is ``None``.
         """
-        try:
-            return self._curves[tau]
-        except KeyError:
-            pass
-        numbers = None
-        mc = self._container.get(tau) if len(tau) == 3 else None
-        duals = None if mc is None else self.cone_basis(mc)[0]
-        if duals is not None:
-            link = self.link(tau)
-            neighbour_sum = tuple(map(sum, zip(*(self.rays[n - 1] for n in link))))
-            numbers = dict.fromkeys(link, 1)
-            for w in tau:
-                numbers[w] = -dot(duals[mc.index(w)], neighbour_sum)
-        self._curves[tau] = numbers
+        x = self.wall_relation(tau)
+        if x is None:
+            return None
+        numbers = dict.fromkeys(self.link(tau), 1)
+        numbers.update((w, -x[w]) for w in tau)
         return numbers
 
     def __eq__(self, other) -> bool:
@@ -220,16 +247,21 @@ def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]
     """Build the fan whose non-faces are generated by ``collections``.
 
     A 4-subset of ray indices spans a maximal cone exactly when it contains
-    no collection as a subset. Raises :class:`FanError` for collections with
-    duplicate or out-of-range indices.
+    no collection as a subset, tested on bitmasks of ray indices. Raises
+    :class:`FanError` for collections with duplicate or out-of-range indices.
     """
     rays = tuple(tuple(v) for v in rays)
-    colls = [set(c) for c in _check_collections(collections, len(rays))]
-    maxcones = [
-        mc
-        for mc in itertools.combinations(range(1, len(rays) + 1), DIM)
-        if not any(p <= set(mc) for p in colls)
-    ]
+    masks = [sum(1 << i for i in c) for c in _check_collections(collections, len(rays))]
+    indices = range(1, len(rays) + 1)
+    subsets = itertools.combinations(indices, DIM)
+    subset_bits = map(sum, itertools.combinations([1 << i for i in indices], DIM))
+    maxcones = []
+    for mc, bits in zip(subsets, subset_bits):
+        for m in masks:
+            if m & bits == m:
+                break
+        else:
+            maxcones.append(mc)
     return Fan(rays, maxcones)
 
 
@@ -285,11 +317,12 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
 def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation:
     """Express the ray sum of a primitive collection over its minimal cone.
 
-    Scans every maximal cone, takes the coordinates of the sum in that
-    cone's generators (see :func:`_coordinates`), and keeps the strictly
-    positive support whenever all coordinates are nonnegative. Every containing cone must yield the same
-    support and coefficients; on a smooth fan the coefficients are positive
-    integers. The sum of the rays being zero gives the empty cone.
+    Scans every maximal cone and takes the coordinates of the sum in that
+    cone's generators when they are all nonnegative (see
+    :func:`_cone_coordinates`), keeping their strictly positive support.
+    Every containing cone must yield the same support and coefficients; on a
+    smooth fan the coefficients are positive integers. The sum of the rays
+    being zero gives the empty cone.
     """
     coll = _cone(collection)
     s = tuple(sum(fan.ray(i)[c] for i in coll) for c in range(DIM))
@@ -299,8 +332,8 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
     seen: set[tuple] = set()
     result = None
     for mc in fan.maxcones:
-        x = _coordinates(fan, mc, s)
-        if x is None or any(v < 0 for v in x):
+        x = _cone_coordinates(fan, mc, s)
+        if x is None:
             continue
         support = tuple(i for i, v in zip(mc, x) if v > 0)
         coeffs = tuple(v for v in x if v > 0)
@@ -318,23 +351,26 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
     return PrimitiveRelation(coll, support, cmap, len(coll) - sum(cmap.values()))
 
 
-def _coordinates(fan: Fan, mc: Cone, point: Sequence[int]):
-    """Exact coordinates of ``point`` over the generators of maximal cone ``mc``.
+def _cone_coordinates(fan: Fan, mc: Cone, point: Sequence[int]) -> list | None:
+    """Exact coordinates of ``point`` over the generators of maximal cone
+    ``mc`` when they are all nonnegative, else ``None``.
 
     An integer mat-vec with the cone's dual basis (integers on a unimodular
-    cone). A degenerate cone falls back to the rational solver: its
-    canonical solution, or ``None`` when ``point`` is outside the span.
+    cone) that stops at the first negative coordinate. A degenerate cone
+    falls back to the rational solver's canonical solution, and ``point``
+    outside its span gives ``None``.
     """
     duals, _ = fan.cone_basis(mc)
     if duals is None:
         sol = solve(_column_matrix([fan.ray(i) for i in mc]), point)
-        return None if sol is None else sol[0]
-    return tuple(dot(u, point) for u in duals)
-
-
-def _contains_point(fan: Fan, mc: Cone, point: Sequence[int]) -> bool:
-    x = _coordinates(fan, mc, point)
-    return x is not None and all(v >= 0 for v in x)
+        return list(sol[0]) if sol is not None and min(sol[0]) >= 0 else None
+    x = []
+    for u in duals:
+        c = sum(map(mul, u, point))
+        if c < 0:
+            return None
+        x.append(c)
+    return x
 
 
 def validate_fan(fan: Fan) -> FanReport:
@@ -351,7 +387,15 @@ def validate_fan(fan: Fan) -> FanReport:
     of the wall's two cones and enters the other. That complement is
     connected, so the number is the same at every point off the walls, and
     the third check makes it 1: the cones cover the space without
-    overlapping. Failures are reported, never raised.
+    overlapping. Failures are reported, never raised, and a degenerate cone
+    is reported once.
+
+    The links of all walls come from one pass over the maximal cones. The
+    side test fills the cache of :meth:`Fan.wall_relation`: with neighbours
+    a < b, the cones lie on opposite sides exactly when v_b has a negative
+    coordinate x_a over the generators of ``wall + a``. The same vector
+    later gives the wall's curve numbers, so each wall relation is computed
+    once.
     """
     problems = []
     simplicial_ok = True
@@ -359,25 +403,30 @@ def validate_fan(fan: Fan) -> FanReport:
     for mc in fan.maxcones:
         _, d = fan.cone_basis(mc)
         if d == 0:
-            simplicial_ok = False
+            simplicial_ok = smooth = False
             problems.append(f"cone {mc} is degenerate")
-        if abs(d) != 1:
+        elif abs(d) != 1:
             smooth = False
             problems.append(f"cone {mc} has determinant {d}")
 
+    # the maximal cones around each wall, in ascending order of the added ray
+    links: dict[Cone, list[int]] = {}
+    for mc in fan.maxcones:
+        for k, n in enumerate(mc):
+            links.setdefault(mc[:k] + mc[k + 1 :], []).append(n)
     gaps = [] if fan.maxcones else ["fan has no maximal cones"]
     for wall in fan.cones3:
-        if len(fan.link(wall)) != 2:
-            gaps.append(f"wall {wall} lies in {len(fan.link(wall))} maximal cone(s)")
+        if len(links[wall]) != 2:
+            gaps.append(f"wall {wall} lies in {len(links[wall])} maximal cone(s)")
     if simplicial_ok and not gaps:
         for wall in fan.cones3:
-            a, b = fan.link(wall)
-            cone_a, cone_b = _cone(wall + (a,)), _cone(wall + (b,))
-            if dot(fan.dual(a, cone_a), fan.ray(b)) >= 0:
+            a, b = link = links[wall]
+            if fan._wall_relation(wall, link)[a] >= 0:
+                cone_a, cone_b = _cone(wall + (a,)), _cone(wall + (b,))
                 gaps.append(f"cones {cone_a} and {cone_b} lie on one side of wall {wall}")
         first = fan.maxcones[0]
         point = tuple(map(sum, zip(*(fan.ray(i) for i in first))))
-        overlapping = (mc for mc in fan.maxcones[1:] if _contains_point(fan, mc, point))
+        overlapping = (mc for mc in fan.maxcones[1:] if _cone_coordinates(fan, mc, point) is not None)
         gaps.extend(f"cones {first} and {mc} overlap" for mc in overlapping)
     return FanReport(smooth, not gaps, simplicial_ok, problems + gaps)
 

@@ -17,7 +17,7 @@ from toricfano.chern import (
     dual_functional,
 )
 from toricfano.exactlin import dot
-from toricfano.fan import build_fan, build_fan_from_rays
+from toricfano.fan import build_fan, build_fan_from_rays, validate_fan
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,32 @@ def test_default_path_never_calls_the_rational_solver(database, monkeypatch):
             two_fano.append((rec.name, report.min_value))
     assert build_fan_from_rays(database.lookup("M5").rays).maxcones
     assert two_fano == [("P4", Fraction(5, 2))]
+
+
+def test_classify_reads_the_wall_relations_that_validation_cached(database, monkeypatch):
+    from collections import Counter
+
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    fans = []
+    for name in ("H1", "M5", "124"):
+        rec = database.lookup(name)
+        fan = build_fan(rec.rays, rec.collections)
+        assert validate_fan(fan).ok
+        fans.append(fan)
+    monkeypatch.setattr(toricfano.fan, "adjugate4", counted("adjugate4", toricfano.fan.adjugate4))
+    relate = counted("_wall_relation", toricfano.fan.Fan._wall_relation)
+    monkeypatch.setattr(toricfano.fan.Fan, "_wall_relation", relate)
+    for fan in fans:
+        assert len(classify(fan).values) == len(fan.cones2)
+    assert calls == {}
 
 
 def test_dual_functional_requires_membership(h1):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,32 @@ def test_build_fan_matches_brute_force_count(h1):
     ]
     assert len(expected) == 15
     assert h1.maxcones == tuple(expected)
+
+
+def _brute_force_maxcones(ray_count, collections):
+    colls = [set(c) for c in collections]
+    subsets = itertools.combinations(range(1, ray_count + 1), 4)
+    return tuple(s for s in subsets if not any(c <= set(s) for c in colls))
+
+
+def test_build_fan_matches_brute_force_on_every_record(database):
+    for rec in database:
+        fan = build_fan(rec.rays, rec.collections)
+        assert fan.maxcones == _brute_force_maxcones(len(rec.rays), rec.collections), rec.name
+
+
+def test_build_fan_matches_brute_force_on_random_collections():
+    # the rays play no part in which subsets are kept
+    rng = random.Random(6)
+    for _ in range(60):
+        ray_count = rng.randint(4, 12)
+        indices = range(1, ray_count + 1)
+        collections = [
+            tuple(sorted(rng.sample(indices, rng.randint(2, min(5, ray_count)))))
+            for _ in range(rng.randint(0, 8))
+        ]
+        fan = build_fan([(i, 0, 0, 0) for i in indices], collections)
+        assert fan.maxcones == _brute_force_maxcones(ray_count, collections), collections
 
 
 def test_build_fan_rejects_bad_collections():
@@ -321,6 +348,16 @@ def test_curve_numbers_match_the_wall_oracle(fans):
                 assert numbers.get(w, 0) == wall_curve_oracle(fan, w, tau), (name, tau, w)
 
 
+def test_wall_relation_expresses_the_far_neighbour_over_the_near_cone(fans):
+    for name, fan in fans.items():
+        for tau in fan.cones3:
+            a, b = fan.link(tau)
+            x = fan.wall_relation(tau)
+            assert set(x) == set(tau + (a,)), (name, tau)
+            assert tuple(sum(c * fan.ray(k)[i] for k, c in x.items()) for i in range(4)) == fan.ray(b)
+            assert x[a] < 0, (name, tau)  # the two cones lie on opposite sides
+
+
 def test_curve_numbers_need_a_nondegenerate_wall():
     rays = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
     fan = build_fan(rays, ((1, 2, 3, 4, 5),))
@@ -330,6 +367,8 @@ def test_curve_numbers_need_a_nondegenerate_wall():
     # every invariant curve of P4 is a line, meeting each hyperplane once
     assert p4.curve_numbers((1, 2, 3)) == dict.fromkeys(range(1, 6), 1)
     assert p4.link((1, 2)) == (3, 4, 5)
+    # without the cone (2, 3, 4, 5) the wall (2, 3, 4) lies in one maximal cone
+    assert Fan(p4.rays, p4.maxcones[:-1]).curve_numbers((2, 3, 4)) is None
 
 
 def test_primitive_relation_describe(h1, p4):
