@@ -27,12 +27,14 @@ from typing import Iterator
 from .chern import Ch2Report, classify
 from .fan import (
     DIM,
+    MAX_PROBLEMS,
     Cone,
     Fan,
     FanError,
     PrimitiveRelation,
     build_fan,
     build_fan_from_rays,
+    cap_problems,
     minimal_nonfaces,
     primitive_relation,
     validate_fan,
@@ -43,9 +45,6 @@ LatticePoint = tuple[int, int, int, int]
 # A smooth Fano d-polytope has at most 3d vertices (Casagrande, Ann. Inst.
 # Fourier 56, 2006), so a record with more rays is rejected unbuilt.
 MAX_RAYS = 3 * DIM
-
-# A record's report lists at most this many problems, then how many it hides.
-MAX_PROBLEMS = 10
 
 
 class AtlasParseError(ValueError):
@@ -241,9 +240,7 @@ class VarietyAnalysis:
         most :data:`MAX_PROBLEMS` problems listed."""
         report = RecordReport(self.record.name)
         self._check(report)
-        hidden = len(report.problems) - MAX_PROBLEMS
-        if hidden > 0:
-            report.problems[MAX_PROBLEMS:] = [f"{hidden} more problems not shown"]
+        report.problems = cap_problems(report.problems)
         return report
 
     def _check(self, report: RecordReport) -> None:

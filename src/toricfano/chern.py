@@ -137,13 +137,20 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     pairing the curve cycle of each square against the divisor again.
     Always a half-integer on a smooth fan.
 
+    This is the single-surface route, which ``ch2 --surface`` and
+    ``paper-table`` take: it computes only the dual bases and wall
+    relations around ``sigma``. :func:`classify` reaches the same sums for
+    every surface at once in one sweep over the walls.
+
     By default the sum is read from the curve numbers of the walls
     sigma + n, n in the link of sigma (:meth:`Fan.wall_relation`, computed
     once per wall): D_w . V(sigma) is the curve of sigma + w for w in the
     link, sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
-    (u_w = ``fan.dual(w, sigma)``), and zero otherwise. With ``u_fn``, on a
-    non-face, on a degenerate maximal cone and on a wall outside exactly two
-    maximal cones the divisor-by-divisor route below is taken instead.
+    (u_w = ``fan.dual(w, sigma)``), and zero otherwise. So the sum has one
+    term per wall around sigma (:func:`_wall_sum`), and each wall's term
+    depends only on that wall and on sigma. With ``u_fn``, on a non-face,
+    on a degenerate maximal cone and on a wall outside exactly two maximal
+    cones the divisor-by-divisor route below is taken instead.
     """
     sigma = _cone(sigma)
     total = None if u_fn is not None else _wall_sum(fan, sigma)
@@ -208,15 +215,69 @@ def classify(fan: Fan) -> Ch2Report:
     """Evaluate ch2 on every invariant surface and classify the variety.
 
     The witness is the lexicographically least 2-cone attaining the minimum.
-    Expects a validated smooth complete Fano fan. Each surface sums over the
-    walls around it (see :func:`ch2_dot_surface`), reading the coordinate
-    vector that :func:`~toricfano.fan.validate_fan` cached for every wall
-    and that also gave the wall's orientation sign.
+    Expects a validated smooth complete Fano fan.
+
+    The values are those of :func:`ch2_dot_surface`, reached by one sweep
+    over the walls (:func:`_surface_sums`) instead of one pass over the link
+    of each surface. The sum of a surface sigma has one term per wall
+    sigma + n around it, and that term depends only on the wall and on
+    sigma. A wall tau borders exactly three surfaces, tau minus each of its
+    rays, and the walls around sigma are exactly the 3-cones containing it.
+    So adding each wall's three terms to the surfaces it borders gives every
+    sum term for term, in exact arithmetic. A surface next to a wall without a
+    relation, or held by a degenerate maximal cone, is computed by
+    :func:`ch2_dot_surface`. The minimum is found on the integer sums, which
+    are twice the values.
     """
-    values = {}
-    for sigma in fan.cones2:
-        total = _wall_sum(fan, sigma)
-        values[sigma] = ch2_dot_surface(fan, sigma) if total is None else Fraction(total, 2)
-    witness = min(fan.cones2, key=lambda sigma: (values[sigma], sigma))
+    twice = {
+        sigma: 2 * ch2_dot_surface(fan, sigma) if total is None else total
+        for sigma, total in _surface_sums(fan).items()
+    }
+    witness = min(twice, key=twice.__getitem__)
+    halves = {total: Fraction(total, 2) for total in set(twice.values())}
+    values = {sigma: halves[total] for sigma, total in twice.items()}
     min_value = values[witness]
     return Ch2Report(values, min_value, witness, _classification(min_value))
+
+
+def _surface_sums(fan: Fan) -> dict:
+    """sum_w D_w . (D_w . V(sigma)) for every 2-cone sigma, in the order of
+    ``fan.cones2``, from one pass over the walls; ``None`` for a surface
+    that needs the route of :func:`ch2_dot_surface`.
+
+    The wall tau = (a, b, c) with coordinates x = :meth:`Fan.wall_relation`
+    (cached by :func:`~toricfano.fan.validate_fan`, else computed here) adds
+    -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q to the surface sigma = (p, q) =
+    tau minus n, for each n in tau, with u_p, u_q the duals of p, q on
+    sigma, fetched once per surface: the term :func:`_wall_sum` adds for n.
+    No link of a surface is read and no wall tuple is built.
+    """
+    acc: dict = dict.fromkeys(fan.cones2, 0)
+    duals = {}
+    for sigma in fan.cones2:
+        up, uq = fan.dual(sigma[0], sigma), fan.dual(sigma[1], sigma)
+        if up is None or uq is None:
+            acc[sigma] = None
+        else:
+            duals[sigma] = (*up, *uq)
+    rays = fan.rays
+    for tau in fan.cones3:
+        a, b, c = tau
+        x = fan.wall_relation(tau)
+        if x is None:
+            acc[b, c] = acc[a, c] = acc[a, b] = None
+            continue
+        xa, xb, xc = x[a], x[b], x[c]
+        for n, xn, sigma, xp, xq in ((a, xa, (b, c), xb, xc), (b, xb, (a, c), xa, xc), (c, xc, (a, b), xa, xb)):
+            total = acc[sigma]
+            if total is None:
+                continue
+            v0, v1, v2, v3 = rays[n - 1]
+            p0, p1, p2, p3, q0, q1, q2, q3 = duals[sigma]
+            acc[sigma] = (
+                total
+                - xn
+                + (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xp
+                + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xq
+            )
+    return acc

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .exactlin import adjugate4, dot, solve
 
@@ -32,6 +32,9 @@ LatticePoint = tuple[int, int, int, int]
 Cone = tuple[int, ...]
 
 DIM = 4
+
+# A list of problems shows at most this many, then how many it hides.
+MAX_PROBLEMS = 10
 
 
 class FanError(ValueError):
@@ -53,6 +56,8 @@ class Fan:
     faces are cached on first use too, and so is one coordinate vector per
     wall (:meth:`wall_relation`), which gives both the orientation sign
     that :func:`validate_fan` checks and the curve numbers that ch2 reads.
+    The first point-containment test (:func:`containing_cones`) gathers the
+    dual bases of all maximal cones into one table.
     """
 
     def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone]):
@@ -108,6 +113,12 @@ class Fan:
             entry = self._bases[mc] = (duals, det)
         return entry
 
+    @cached_property
+    def _cone_duals(self) -> tuple[tuple[Cone, tuple | None], ...]:
+        # (mc, duals) for every maximal cone in order, built on first use,
+        # never by __init__; the table behind containing_cones
+        return tuple((mc, self.cone_basis(mc)[0]) for mc in self.maxcones)
+
     def dual(self, w: int, cone: Cone):
         """A functional equal to 1 on ray ``w`` and 0 on the rest of ``cone``.
 
@@ -160,8 +171,8 @@ class Fan:
             mc = self._container[tau]
             duals = self.cone_basis(mc)[0]
             if duals is not None:
-                v = self.rays[link[1] - 1]
-                x = {k: sum(map(mul, u, v)) for k, u in zip(mc, duals)}
+                v0, v1, v2, v3 = self.rays[link[1] - 1]
+                x = {k: u[0] * v0 + u[1] * v1 + u[2] * v2 + u[3] * v3 for k, u in zip(mc, duals)}
         self._walls[tau] = x
         return x
 
@@ -229,6 +240,13 @@ class FanReport:
         return self.smooth and self.complete and self.simplicial_ok
 
 
+def cap_problems(problems: list[str]) -> list[str]:
+    """The first :data:`MAX_PROBLEMS` problems, followed by one line
+    ``K more problems not shown`` when there are more; unchanged otherwise."""
+    hidden = len(problems) - MAX_PROBLEMS
+    return problems if hidden <= 0 else problems[:MAX_PROBLEMS] + [f"{hidden} more problems not shown"]
+
+
 def _check_collections(collections, ray_count) -> list[Cone]:
     out = []
     for coll in collections:
@@ -274,7 +292,8 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
     functional is the sum of the adjugate rows divided by the determinant,
     so the test runs in integers as ``sign(det) * <sum, v> < |det|``. The
     result must validate as smooth and complete, otherwise the rays are not
-    the vertex set of a suitable polytope and :class:`FanError` is raised.
+    the vertex set of a suitable polytope and :class:`FanError` is raised,
+    naming at most :data:`MAX_PROBLEMS` of the problems.
     """
     rays = tuple(tuple(v) for v in rays)
     maxcones = []
@@ -289,7 +308,7 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
     fan = Fan(rays, maxcones)
     report = validate_fan(fan)
     if not report.ok:
-        raise FanError("not a Fano face fan: " + "; ".join(report.problems))
+        raise FanError("not a Fano face fan: " + "; ".join(cap_problems(report.problems)))
     return fan
 
 
@@ -314,63 +333,72 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
+def containing_cones(fan: Fan, point: Sequence[int]) -> Iterator[tuple[Cone, tuple]]:
+    """Yield ``(mc, coords)`` for every maximal cone ``mc`` that contains
+    ``point``, in the order of ``fan.maxcones``.
+
+    ``coords`` are the exact coordinates of ``point`` over the generators of
+    ``mc``, all nonnegative. Each is one unrolled integer dot product with a
+    row of the cone's dual basis (integers on a unimodular cone, ``Fraction``
+    on any other nondegenerate one), and a cone is left at its first
+    negative coordinate. The dual bases come from a per-fan table built on
+    first use. A degenerate cone falls back to the rational solver's
+    canonical solution, and ``point`` outside its span is never yielded.
+    This is the one place that decides whether a maximal cone holds a
+    point: :func:`primitive_relation` and the overlap check of
+    :func:`validate_fan` both ask it.
+    """
+    p0, p1, p2, p3 = point
+    for mc, duals in fan._cone_duals:
+        if duals is None:
+            sol = solve(_column_matrix([fan.ray(i) for i in mc]), point)
+            if sol is not None and min(sol[0]) >= 0:
+                yield mc, tuple(sol[0])
+            continue
+        u0, u1, u2, u3 = duals
+        c0 = u0[0] * p0 + u0[1] * p1 + u0[2] * p2 + u0[3] * p3
+        if c0 < 0:
+            continue
+        c1 = u1[0] * p0 + u1[1] * p1 + u1[2] * p2 + u1[3] * p3
+        if c1 < 0:
+            continue
+        c2 = u2[0] * p0 + u2[1] * p1 + u2[2] * p2 + u2[3] * p3
+        if c2 < 0:
+            continue
+        c3 = u3[0] * p0 + u3[1] * p1 + u3[2] * p2 + u3[3] * p3
+        if c3 < 0:
+            continue
+        yield mc, (c0, c1, c2, c3)
+
+
 def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation:
     """Express the ray sum of a primitive collection over its minimal cone.
 
-    Scans every maximal cone and takes the coordinates of the sum in that
-    cone's generators when they are all nonnegative (see
-    :func:`_cone_coordinates`), keeping their strictly positive support.
-    Every containing cone must yield the same support and coefficients; on a
-    smooth fan the coefficients are positive integers. The sum of the rays
-    being zero gives the empty cone.
+    Takes every maximal cone that contains the sum, with the sum's
+    coordinates there (:func:`containing_cones`), and keeps the strictly
+    positive support of the coordinates. Every containing cone must yield
+    the same support and coefficients, else the minimal cone is ambiguous;
+    on a smooth fan the coefficients are positive integers. The sum of the
+    rays being zero gives the empty cone.
     """
     coll = _cone(collection)
-    s = tuple(sum(fan.ray(i)[c] for i in coll) for c in range(DIM))
-    if all(x == 0 for x in s):
+    s = tuple(map(sum, zip(*(fan.rays[i - 1] for i in coll))))
+    if not any(s):
         return PrimitiveRelation(coll, (), {}, len(coll))
 
-    seen: set[tuple] = set()
-    result = None
-    for mc in fan.maxcones:
-        x = _cone_coordinates(fan, mc, s)
-        if x is None:
-            continue
-        support = tuple(i for i, v in zip(mc, x) if v > 0)
-        coeffs = tuple(v for v in x if v > 0)
-        seen.add((support, coeffs))
-        result = (support, coeffs)
-    if result is None:
+    # each containing cone as its (generator, coefficient) pairs with v > 0
+    seen = {tuple((i, v) for i, v in zip(mc, x) if v) for mc, x in containing_cones(fan, s)}
+    if not seen:
         raise FanError(f"no containing cone for the ray sum of {coll}")
     if len(seen) > 1:
-        found = sorted((sup, tuple(map(Fraction, cs))) for sup, cs in seen)
+        found = sorted((tuple(i for i, _ in pairs), tuple(Fraction(v) for _, v in pairs)) for pairs in seen)
         raise FanError(f"ambiguous minimal cone for {coll}: {found}")
-    support, coeffs = result
-    if any(v.denominator != 1 for v in coeffs):
+    (pairs,) = seen
+    if any(v.denominator != 1 for _, v in pairs):
         raise FanError(f"non-integral coefficients for {coll}: fan is not smooth")
-    cmap = {i: int(v) for i, v in zip(support, coeffs)}
+    support = tuple(i for i, _ in pairs)
+    cmap = {i: int(v) for i, v in pairs}
     return PrimitiveRelation(coll, support, cmap, len(coll) - sum(cmap.values()))
-
-
-def _cone_coordinates(fan: Fan, mc: Cone, point: Sequence[int]) -> list | None:
-    """Exact coordinates of ``point`` over the generators of maximal cone
-    ``mc`` when they are all nonnegative, else ``None``.
-
-    An integer mat-vec with the cone's dual basis (integers on a unimodular
-    cone) that stops at the first negative coordinate. A degenerate cone
-    falls back to the rational solver's canonical solution, and ``point``
-    outside its span gives ``None``.
-    """
-    duals, _ = fan.cone_basis(mc)
-    if duals is None:
-        sol = solve(_column_matrix([fan.ray(i) for i in mc]), point)
-        return list(sol[0]) if sol is not None and min(sol[0]) >= 0 else None
-    x = []
-    for u in duals:
-        c = sum(map(mul, u, point))
-        if c < 0:
-            return None
-        x.append(c)
-    return x
 
 
 def validate_fan(fan: Fan) -> FanReport:
@@ -393,9 +421,12 @@ def validate_fan(fan: Fan) -> FanReport:
     The links of all walls come from one pass over the maximal cones. The
     side test fills the cache of :meth:`Fan.wall_relation`: with neighbours
     a < b, the cones lie on opposite sides exactly when v_b has a negative
-    coordinate x_a over the generators of ``wall + a``. The same vector
-    later gives the wall's curve numbers, so each wall relation is computed
-    once.
+    coordinate x_a over the generators of ``wall + a``, one unrolled integer
+    dot product per generator. The same vector later gives the wall's curve
+    numbers, and :func:`~toricfano.chern.classify` adds each wall's terms to
+    the three surfaces it borders, so each wall relation is computed once.
+    The point check asks :func:`containing_cones`, the test that
+    :func:`primitive_relation` uses too.
     """
     problems = []
     simplicial_ok = True
@@ -426,8 +457,7 @@ def validate_fan(fan: Fan) -> FanReport:
                 gaps.append(f"cones {cone_a} and {cone_b} lie on one side of wall {wall}")
         first = fan.maxcones[0]
         point = tuple(map(sum, zip(*(fan.ray(i) for i in first))))
-        overlapping = (mc for mc in fan.maxcones[1:] if _cone_coordinates(fan, mc, point) is not None)
-        gaps.extend(f"cones {first} and {mc} overlap" for mc in overlapping)
+        gaps.extend(f"cones {first} and {mc} overlap" for mc, _ in containing_cones(fan, point) if mc != first)
     return FanReport(smooth, not gaps, simplicial_ok, problems + gaps)
 
 

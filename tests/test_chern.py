@@ -17,7 +17,7 @@ from toricfano.chern import (
     dual_functional,
 )
 from toricfano.exactlin import dot
-from toricfano.fan import build_fan, build_fan_from_rays, validate_fan
+from toricfano.fan import Fan, build_fan, build_fan_from_rays, validate_fan
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +255,73 @@ def test_ch2_invariant_under_ray_relabeling(fans):
         for sigma in fan.cones2:
             image = tuple(sorted(mapping[i] for i in sigma))
             assert ch2_dot_surface(relabeled, image) == ch2_dot_surface(fan, sigma)
+
+
+@pytest.fixture(scope="module")
+def oracle_values(fans):
+    return {name: {sigma: wall_ch2_oracle(fan, sigma) for sigma in fan.cones2} for name, fan in fans.items()}
+
+
+@pytest.mark.parametrize("validated", [True, False], ids=["validated", "unvalidated"])
+def test_classify_sweep_matches_the_single_surface_route_and_the_oracle(fans, oracle_values, validated):
+    # an unvalidated fan has no cached wall relations; the sweep computes them
+    checked = 0
+    for name, fan in fans.items():
+        fresh = Fan(fan.rays, fan.maxcones)
+        if validated:
+            assert validate_fan(fresh).ok
+        else:
+            assert fresh._walls == {}
+        values = classify(fresh).values
+        assert list(values) == list(fan.cones2)
+        for sigma, value in values.items():
+            assert value == ch2_dot_surface(fan, sigma) == oracle_values[name][sigma], (name, sigma)
+            checked += 1
+    assert checked == 1730
+
+
+P4_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [
+        # P(1,1,1,1,2): rational duals on the cone of determinant -2
+        build_fan(P4_RAYS[:4] + ((-1, -1, -1, -2),), ((1, 2, 3, 4, 5),)),
+        # P4 without one maximal cone: the walls of the hole have no relation
+        Fan(P4_RAYS, build_fan(P4_RAYS, ((1, 2, 3, 4, 5),)).maxcones[1:]),
+    ],
+    ids=["weighted", "incomplete"],
+)
+def test_classify_sweep_falls_back_where_a_wall_has_no_relation(fan):
+    values = classify(Fan(fan.rays, fan.maxcones)).values
+    assert values == {sigma: ch2_dot_surface(Fan(fan.rays, fan.maxcones), sigma) for sigma in fan.cones2}
+
+
+def test_classify_on_a_validated_fan_reads_no_link_and_no_single_surface_sum(fans, monkeypatch):
+    from collections import Counter
+
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name, len(args[-1])] += 1
+            return original(*args)
+
+        return wrapper
+
+    validated, unvalidated = [], []
+    for fan in fans.values():
+        validated.append(Fan(fan.rays, fan.maxcones))
+        assert validate_fan(validated[-1]).ok
+        unvalidated.append(Fan(fan.rays, fan.maxcones))
+    monkeypatch.setattr(Fan, "link", counted("link", Fan.link))
+    monkeypatch.setattr(toricfano.chern, "_wall_sum", counted("_wall_sum", toricfano.chern._wall_sum))
+    for fan in validated:
+        classify(fan)
+    assert calls == {}
+    # without the cache each wall relation reads the link of its wall, and
+    # no 2-cone's link is read
+    for fan in unvalidated:
+        classify(fan)
+    assert calls == {("link", 3): sum(len(fan.cones3) for fan in unvalidated)}

@@ -407,3 +407,48 @@ def test_validate_caps_the_problems_of_a_record(tmp_path, capsys):
     assert len(lines) == MAX_PROBLEMS + 1
     assert all(line.startswith("Z: ") for line in lines)
     assert lines[-1] == f"Z: {23 - MAX_PROBLEMS} more problems not shown"
+
+
+def _random_ray_record(tmp_path):
+    # 12 distinct primitive rays with entries in -3..3 and no collections:
+    # their face fan fails validate_fan with 40 problems
+    import math
+    import random
+
+    rng = random.Random(5)
+    rays = []
+    while len(rays) < 12:
+        v = tuple(rng.randint(-3, 3) for _ in range(4))
+        if any(v) and math.gcd(*v) == 1 and v not in rays:
+            rays.append(v)
+    path = tmp_path / "random-rays.txt"
+    path.write_text("variety Z\nrays 12\n" + "".join(" ".join(map(str, v)) + "\n" for v in rays) + "end\n")
+    return path
+
+
+def _assert_capped_face_fan_error(message):
+    from toricfano.atlas import MAX_PROBLEMS
+
+    problems = message.split("; ")
+    assert problems[0].startswith("not a Fano face fan: cone ")
+    assert len(problems) == MAX_PROBLEMS + 1
+    assert problems[-1] == "30 more problems not shown"
+    assert len(message) < 500
+
+
+def test_validate_caps_the_face_fan_error(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(_random_ray_record(tmp_path)))
+    assert code == 1
+    assert out.splitlines()[1] == "Z\tfalse\tfalse\tfalse\tfalse\tfalse"
+    (line,) = err.splitlines()
+    assert line.startswith("Z: ")
+    _assert_capped_face_fan_error(line[len("Z: ") :])
+
+
+def test_show_caps_the_face_fan_error(tmp_path, capsys):
+    code, out, err = run(capsys, "--db", str(_random_ray_record(tmp_path)), "show", "Z")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2] == "  collections (derived):"
+    line = out.splitlines()[-1]
+    assert line.startswith("  (relations unavailable: ") and line.endswith(")")
+    _assert_capped_face_fan_error(line[len("  (relations unavailable: ") : -1])

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from helpers import wall_curve_oracle
 
-from toricfano.exactlin import dot
+from toricfano.exactlin import dot, solve
 from toricfano.fan import (
     Fan,
     FanError,
     build_fan,
     build_fan_from_rays,
+    containing_cones,
     is_fano,
     lattice_equivalent,
     minimal_nonfaces,
@@ -437,3 +438,57 @@ def test_validate_fan_names_a_wall_with_both_cones_on_one_side(p4):
     report = validate_fan(Fan(rays, p4.maxcones))
     assert report.smooth and not report.complete
     assert "cones (1, 2, 3, 4) and (2, 3, 4, 5) lie on one side of wall (2, 3, 4)" in report.problems
+
+
+def _solver_containing_cones(fan, points):
+    """For each point, every ``(mc, x)`` with x the rational solver's solution
+    of sum_k x_k v_k = point over the generators of ``mc`` and all x_k >= 0.
+
+    Every coordinate is computed. On a nondegenerate cone x is read from the
+    solver's inverse (four solves per cone, not per point); on a degenerate
+    one the solver runs for each point and gives its canonical solution.
+    """
+    units = [tuple(int(r == c) for c in range(4)) for r in range(4)]
+    inverses = {}
+    for mc in fan.maxcones:
+        m = [[fan.ray(i)[r] for i in mc] for r in range(4)]
+        sols = [solve(m, e) for e in units]
+        cols = None
+        if all(s is not None and s[1] == 4 for s in sols):
+            cols = [tuple(int(v) if v.denominator == 1 else v for v in s[0]) for s in sols]
+        inverses[mc] = (m, cols)
+    found = []
+    for point in points:
+        cones = []
+        for mc, (m, cols) in inverses.items():
+            if cols is None:
+                sol = solve(m, point)
+                x = None if sol is None else tuple(sol[0])
+            else:
+                x = tuple(sum(p * col[k] for p, col in zip(point, cols)) for k in range(4))
+            if x is not None and min(x) >= 0:
+                cones.append((mc, x))
+        found.append(cones)
+    return found
+
+
+def test_containing_cones_matches_the_rational_solver(fans):
+    rng = random.Random(7)
+    test_fans = dict(fans)
+    test_fans["P(1,1,1,1,2)"] = build_fan(WP_RAYS, ((1, 2, 3, 4, 5),))
+    test_fans["degenerate"] = build_fan(
+        ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1)), ((1, 2, 3, 4, 5),)
+    )
+    test_fans["pentagram"] = Fan(PENTAGRAM_RAYS, PENTAGRAM_CONES)
+    shared = unique = 0
+    for name, fan in test_fans.items():
+        # relation sums, the ray sums of all nonempty cones, random points
+        sums = list(minimal_nonfaces(fan)) + [c for c in fan._container if c]
+        points = [tuple(map(sum, zip(*(fan.ray(i) for i in c)))) for c in sums]
+        points += [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(20)]
+        for point, expected in zip(points, _solver_containing_cones(fan, points)):
+            assert list(containing_cones(fan, point)) == expected, (name, point)
+            shared += len(expected) > 1
+            unique += len(expected) == 1
+    # points on a common face of several cones, and points inside one
+    assert shared > 1000 and unique > 1000
