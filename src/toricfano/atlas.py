@@ -57,7 +57,6 @@ class VarietyRecord:
     rays: tuple[LatticePoint, ...]
     collections: tuple[tuple[int, ...], ...] | None = None
     collections_derived: bool = False
-    source: str = "user"
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,7 @@ def shipped_database() -> AtlasDatabase:
         if rec.collections is None:
             derived = minimal_nonfaces(build_fan_from_rays(rec.rays))
             rec = replace(rec, collections=derived, collections_derived=True)
-        records.append(replace(rec, source="shipped"))
+        records.append(rec)
     return AtlasDatabase(tuple(records))
 
 

@@ -15,7 +15,11 @@ other generators; the replacement meets the orbit closure properly,
 reducing to the transversal case. Any valid u gives the same intersection
 numbers. By default u is the dual basis element of w on a maximal cone
 containing the cone (:meth:`Fan.dual`), an integer vector on a smooth fan,
-so every number below is an integer sum until ch2 halves it.
+so every number below is an integer sum until ch2 halves it. The default
+route reads the wall relations of the fan and raises
+:class:`~toricfano.fan.FanError` where the fan has none to give; a ``u_fn``
+argument takes the divisor-by-divisor route instead, the reference that
+the tests compare the default against.
 
 The second Chern character of the tangent bundle is half the sum of the
 squares of the invariant divisors, so its value on an invariant surface is
@@ -60,9 +64,9 @@ def dual_functional(fan: Fan, w: int, cone: Iterable[int]) -> tuple:
     The cone must be a face containing ``w``. For cones of fewer than four
     rays the system is underdetermined and the canonical solution is
     returned (free coordinates zero), deterministic but otherwise arbitrary:
-    downstream intersection numbers do not depend on the choice. They take
-    theirs from :meth:`Fan.dual` and fall back to this one only when no
-    nondegenerate maximal cone holds the cone.
+    downstream intersection numbers do not depend on the choice. The
+    default route takes its functionals from :meth:`Fan.dual` instead; this
+    one serves the reference route of the tests.
     """
     cone = _cone(cone)
     if w not in cone:
@@ -75,14 +79,6 @@ def dual_functional(fan: Fan, w: int, cone: Iterable[int]) -> tuple:
     return sol[0]
 
 
-def _functional(fan: Fan, w: int, cone: Cone, u_fn: UFunction | None) -> tuple:
-    if u_fn is not None:
-        return u_fn(fan, w, cone)
-    u = fan.dual(w, cone)
-    # only a cone outside the fan or on a degenerate maximal cone gets here
-    return dual_functional(fan, w, cone) if u is None else u
-
-
 def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | None = None) -> int | Fraction:
     """Intersection number of divisor ``w`` with the curve of 3-cone ``tau``.
 
@@ -92,12 +88,10 @@ def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | No
     """
     tau = _cone(tau)
     if u_fn is None:
-        numbers = fan.curve_numbers(tau)
-        if numbers is not None:
-            return numbers.get(w, 0)
+        return fan.curve_numbers(tau).get(w, 0)
     if w not in tau:
         return 1 if fan.is_maxcone(tau + (w,)) else 0
-    u = _functional(fan, w, tau, u_fn)
+    u = u_fn(fan, w, tau)
     total = 0
     for n in range(1, fan.ray_count + 1):
         if n not in tau and fan.is_maxcone(tau + (n,)):
@@ -117,7 +111,7 @@ def divisor_dot_surface(fan: Fan, w: int, sigma: Iterable[int], u_fn: UFunction 
     if w not in sigma:
         enlarged = _cone(sigma + (w,))
         return {enlarged: 1} if fan.is_face(enlarged) else {}
-    u = _functional(fan, w, sigma, u_fn)
+    u = fan.dual(w, sigma) if u_fn is None else u_fn(fan, w, sigma)
     cycle: CurveCycle = {}
     for n in range(1, fan.ray_count + 1):
         if n in sigma:
@@ -143,49 +137,43 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     every surface at once in one sweep over the walls.
 
     By default the sum is read from the curve numbers of the walls
-    sigma + n, n in the link of sigma (:meth:`Fan.wall_relation`, computed
-    once per wall): D_w . V(sigma) is the curve of sigma + w for w in the
-    link, sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
+    sigma + n around sigma (:meth:`Fan.wall_relation`, computed once per
+    wall): D_w . V(sigma) is the curve of sigma + w for w in the link,
+    sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
     (u_w = ``fan.dual(w, sigma)``), and zero otherwise. So the sum has one
     term per wall around sigma (:func:`_wall_sum`), and each wall's term
-    depends only on that wall and on sigma. With ``u_fn``, on a non-face,
-    on a degenerate maximal cone and on a wall outside exactly two maximal
-    cones the divisor-by-divisor route below is taken instead.
+    depends only on that wall and on sigma. With ``u_fn`` the
+    divisor-by-divisor route below is taken instead.
     """
     sigma = _cone(sigma)
-    total = None if u_fn is not None else _wall_sum(fan, sigma)
-    if total is None:
-        total = 0
-        for w in range(1, fan.ray_count + 1):
-            for tau, coeff in divisor_dot_surface(fan, w, sigma, u_fn).items():
-                total += coeff * divisor_dot_curve(fan, w, tau, u_fn)
+    if u_fn is None:
+        return Fraction(_wall_sum(fan, sigma), 2)
+    total = 0
+    for w in range(1, fan.ray_count + 1):
+        for tau, coeff in divisor_dot_surface(fan, w, sigma, u_fn).items():
+            total += coeff * divisor_dot_curve(fan, w, tau, u_fn)
     return Fraction(total, 2)
 
 
 def _wall_sum(fan: Fan, sigma: Cone):
-    """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone from the wall table,
-    or ``None`` when a dual functional or a wall relation is unavailable.
+    """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone from the wall table.
 
-    For n in the link of sigma = (p, q), the wall tau = sigma + n has the
-    coordinates x = :meth:`Fan.wall_relation`, so its curve meets D_w in
-    -x_w points for w in tau. The term of n is then
+    The walls around sigma = (p, q) are the 3-cones tau = sigma + n in
+    :attr:`Fan.walls`. With x = :meth:`Fan.wall_relation` of tau, the curve
+    of tau meets D_w in -x_w points for w in tau. The term of n is then
     -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q with u_p, u_q the duals of p, q
     on sigma.
     """
-    if len(sigma) != 2:
-        return None
     p, q = sigma
     up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
-    if up is None or uq is None:
-        return None
-    rays = fan.rays
+    walls, rays = fan.walls, fan.rays
     total = 0
-    for n in fan.link(sigma):
-        x = fan.wall_relation((n, p, q) if n < p else (p, n, q) if n < q else (p, q, n))
-        if x is None:
-            return None
-        v = rays[n - 1]
-        total += sum(map(mul, up, v)) * x[p] + sum(map(mul, uq, v)) * x[q] - x[n]
+    for n in range(1, fan.ray_count + 1):
+        tau = (n, p, q) if n < p else (p, n, q) if n < q else (p, q, n)
+        if n != p and n != q and tau in walls:
+            x = fan.wall_relation(tau)
+            v = rays[n - 1]
+            total += sum(map(mul, up, v)) * x[p] + sum(map(mul, uq, v)) * x[q] - x[n]
     return total
 
 
@@ -224,15 +212,10 @@ def classify(fan: Fan) -> Ch2Report:
     sigma. A wall tau borders exactly three surfaces, tau minus each of its
     rays, and the walls around sigma are exactly the 3-cones containing it.
     So adding each wall's three terms to the surfaces it borders gives every
-    sum term for term, in exact arithmetic. A surface next to a wall without a
-    relation, or held by a degenerate maximal cone, is computed by
-    :func:`ch2_dot_surface`. The minimum is found on the integer sums, which
-    are twice the values.
+    sum term for term, in exact arithmetic. The minimum is found on the
+    integer sums, which are twice the values.
     """
-    twice = {
-        sigma: 2 * ch2_dot_surface(fan, sigma) if total is None else total
-        for sigma, total in _surface_sums(fan).items()
-    }
+    twice = _surface_sums(fan)
     witness = min(twice, key=twice.__getitem__)
     halves = {total: Fraction(total, 2) for total in set(twice.values())}
     values = {sigma: halves[total] for sigma, total in twice.items()}
@@ -242,40 +225,26 @@ def classify(fan: Fan) -> Ch2Report:
 
 def _surface_sums(fan: Fan) -> dict:
     """sum_w D_w . (D_w . V(sigma)) for every 2-cone sigma, in the order of
-    ``fan.cones2``, from one pass over the walls; ``None`` for a surface
-    that needs the route of :func:`ch2_dot_surface`.
+    ``fan.cones2``, from one pass over the wall table.
 
     The wall tau = (a, b, c) with coordinates x = :meth:`Fan.wall_relation`
-    (cached by :func:`~toricfano.fan.validate_fan`, else computed here) adds
-    -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q to the surface sigma = (p, q) =
-    tau minus n, for each n in tau, with u_p, u_q the duals of p, q on
-    sigma, fetched once per surface: the term :func:`_wall_sum` adds for n.
-    No link of a surface is read and no wall tuple is built.
+    adds -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q to the surface
+    sigma = (p, q) = tau minus n, for each n in tau, with u_p, u_q the duals
+    of p, q on sigma, fetched once per surface: the term :func:`_wall_sum`
+    adds for n. No link of a surface is read and no wall tuple is built.
     """
     acc: dict = dict.fromkeys(fan.cones2, 0)
-    duals = {}
-    for sigma in fan.cones2:
-        up, uq = fan.dual(sigma[0], sigma), fan.dual(sigma[1], sigma)
-        if up is None or uq is None:
-            acc[sigma] = None
-        else:
-            duals[sigma] = (*up, *uq)
+    duals = {sigma: (*fan.dual(sigma[0], sigma), *fan.dual(sigma[1], sigma)) for sigma in fan.cones2}
     rays = fan.rays
-    for tau in fan.cones3:
+    for tau in fan.walls:
         a, b, c = tau
         x = fan.wall_relation(tau)
-        if x is None:
-            acc[b, c] = acc[a, c] = acc[a, b] = None
-            continue
         xa, xb, xc = x[a], x[b], x[c]
         for n, xn, sigma, xp, xq in ((a, xa, (b, c), xb, xc), (b, xb, (a, c), xa, xc), (c, xc, (a, b), xa, xb)):
-            total = acc[sigma]
-            if total is None:
-                continue
             v0, v1, v2, v3 = rays[n - 1]
             p0, p1, p2, p3, q0, q1, q2, q3 = duals[sigma]
             acc[sigma] = (
-                total
+                acc[sigma]
                 - xn
                 + (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xp
                 + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xq

@@ -52,12 +52,16 @@ class Fan:
     and treated as immutable afterwards; the faces and the 2- and
     3-dimensional cones are precomputed so lookups are cheap. Each face is
     held by one maximal cone (the first in sorted order), whose dual basis,
-    computed on first use, serves every functional on that face. Links of
-    faces are cached on first use too, and so is one coordinate vector per
-    wall (:meth:`wall_relation`), which gives both the orientation sign
-    that :func:`validate_fan` checks and the curve numbers that ch2 reads.
-    The first point-containment test (:func:`containing_cones`) gathers the
-    dual bases of all maximal cones into one table.
+    computed on first use, serves every functional on that face. The wall
+    table (:attr:`walls`) and one coordinate vector per wall
+    (:meth:`wall_relation`) are built on first use too; validation, curve
+    numbers and ch2 all read them. The first point-containment test
+    (:func:`containing_cones`) gathers the dual bases of all maximal cones
+    into one table.
+
+    The intersection methods raise :class:`FanError` naming the cone on a
+    degenerate maximal cone, a wall outside exactly two maximal cones, or a
+    cone that is not a face; :func:`validate_fan` reports these instead.
     """
 
     def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone]):
@@ -73,8 +77,7 @@ class Fan:
         self.cones3: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 3))
         self.cones2: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 2))
         self._bases: dict[Cone, tuple] = {}
-        self._links: dict[Cone, tuple[int, ...]] = {}
-        self._walls: dict[Cone, dict | None] = {}
+        self._relations: dict[Cone, dict] = {}
 
     @property
     def ray_count(self) -> int:
@@ -96,15 +99,16 @@ class Fan:
         ``det`` is the determinant of the generators in index order and
         ``duals[k]`` the functional equal to 1 on generator ``mc[k]`` and 0
         on the others: the adjugate row divided by ``det``, so integers when
-        ``det`` is +-1 and ``Fraction`` otherwise. ``duals`` is ``None`` for
-        a degenerate cone (``det`` 0).
+        ``det`` is +-1 and ``Fraction`` otherwise. This is the one place that
+        detects a degenerate cone (``det`` 0): it raises :class:`FanError`
+        naming the cone.
         """
         entry = self._bases.get(mc)
         if entry is None:
             adj, det = adjugate4([self.rays[i - 1] for i in mc])
             if det == 0:
-                duals = None
-            elif det == 1:
+                raise FanError(f"cone {mc} is degenerate")
+            if det == 1:
                 duals = adj
             elif det == -1:
                 duals = tuple(tuple(-x for x in row) for row in adj)
@@ -114,69 +118,67 @@ class Fan:
         return entry
 
     @cached_property
-    def _cone_duals(self) -> tuple[tuple[Cone, tuple | None], ...]:
+    def _cone_duals(self) -> tuple[tuple[Cone, tuple], ...]:
         # (mc, duals) for every maximal cone in order, built on first use,
         # never by __init__; the table behind containing_cones
         return tuple((mc, self.cone_basis(mc)[0]) for mc in self.maxcones)
+
+    @cached_property
+    def walls(self) -> dict[Cone, tuple[int, ...]]:
+        """The wall table: each 3-cone ``tau`` maps to the rays ``n``, in
+        ascending order, with ``tau + n`` a maximal cone.
+
+        Built on first use in one pass over the maximal cones; their sorted
+        order puts the rays of each entry in ascending order. On a complete
+        fan every entry has two rays; :func:`validate_fan` checks this.
+        """
+        walls: dict[Cone, tuple[int, ...]] = {}
+        for a, b, c, d in self.maxcones:
+            for tau, n in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
+                walls[tau] = walls.get(tau, ()) + (n,)
+        return walls
 
     def dual(self, w: int, cone: Cone):
         """A functional equal to 1 on ray ``w`` and 0 on the rest of ``cone``.
 
         ``cone`` is a sorted face containing ``w``; the functional is the dual
-        basis element of ``w`` on the maximal cone holding that face. Returns
-        ``None`` when ``cone`` is not a face or that maximal cone is
+        basis element of ``w`` on the maximal cone holding that face. Raises
+        :class:`FanError` when ``cone`` is not a face or that maximal cone is
         degenerate.
         """
         mc = self._container.get(cone)
         if mc is None:
-            return None
-        duals, _ = self.cone_basis(mc)
-        return None if duals is None else duals[mc.index(w)]
+            raise FanError(f"{cone} is not a cone of the fan")
+        return self.cone_basis(mc)[0][mc.index(w)]
 
-    def link(self, face: Cone) -> tuple[int, ...]:
-        """Rays ``n`` outside the sorted ``face`` with ``face + n`` a face."""
-        link = self._links.get(face)
-        if link is None:
-            container = self._container
-            link = self._links[face] = tuple(
-                n for n in range(1, len(self.rays) + 1) if n not in face and _cone(face + (n,)) in container
-            )
-        return link
-
-    def wall_relation(self, tau: Cone) -> dict | None:
+    def wall_relation(self, tau: Cone) -> dict:
         """The wall relation of the sorted 3-cone ``tau``, as coordinates.
 
-        On a complete fan ``tau`` lies in two maximal cones, ``tau + a`` and
-        ``tau + b`` with a < b, and ``tau + a`` is the one holding ``tau``
-        (at the first place where the two sorted cones differ, one has a and
-        the other a larger ray). The result maps each ray k of ``tau + a``
-        to the coordinate x_k in ``v_b = sum_k x_k v_k``. The cones lie on
-        opposite sides of ``tau`` exactly when x_a < 0, and x_w for w in
-        ``tau`` gives the curve numbers (:meth:`curve_numbers`). Cached per
-        fan;
-        :func:`validate_fan` fills the cache for every wall. ``None`` when
-        ``tau`` does not lie in exactly two maximal cones or ``tau + a`` is
-        degenerate.
+        With neighbours a < b in :attr:`walls`, ``tau + a`` is the maximal
+        cone holding ``tau`` (at the first place where the two sorted cones
+        differ, one has a and the other a larger ray). The result maps each
+        ray k of ``tau + a`` to the coordinate x_k in ``v_b = sum_k x_k v_k``.
+        The cones lie on opposite sides of ``tau`` exactly when x_a < 0, and
+        x_w for w in ``tau`` gives the curve numbers (:meth:`curve_numbers`).
+        Computed once per wall. Raises :class:`FanError` when ``tau`` is not
+        a 3-cone of the fan, lies in other than two maximal cones, or
+        ``tau + a`` is degenerate.
         """
-        try:
-            return self._walls[tau]
-        except KeyError:
-            return self._wall_relation(tau, self.link(tau) if len(tau) == 3 else ())
-
-    def _wall_relation(self, tau: Cone, link: Sequence[int]) -> dict | None:
-        # ``link`` is that of tau, passed in by validate_fan, which finds
-        # the links of all walls at once; caches x for wall_relation
-        x = None
-        if len(link) == 2:
+        x = self._relations.get(tau)
+        if x is None:
+            link = self.walls.get(tau)
+            if link is None:
+                raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
+            if len(link) != 2:
+                raise FanError(f"wall {tau} lies in {len(link)} maximal cone(s)")
             mc = self._container[tau]
-            duals = self.cone_basis(mc)[0]
-            if duals is not None:
-                v0, v1, v2, v3 = self.rays[link[1] - 1]
-                x = {k: u[0] * v0 + u[1] * v1 + u[2] * v2 + u[3] * v3 for k, u in zip(mc, duals)}
-        self._walls[tau] = x
+            v0, v1, v2, v3 = self.rays[link[1] - 1]
+            x = self._relations[tau] = {
+                k: u[0] * v0 + u[1] * v1 + u[2] * v2 + u[3] * v3 for k, u in zip(mc, self.cone_basis(mc)[0])
+            }
         return x
 
-    def curve_numbers(self, tau: Cone) -> dict | None:
+    def curve_numbers(self, tau: Cone) -> dict:
         """Intersection numbers of the invariant divisors with the curve of wall ``tau``.
 
         ``tau`` is a sorted 3-cone with neighbours a < b. The result maps ray
@@ -184,13 +186,11 @@ class Fan:
         where x is :meth:`wall_relation`, so ``v_a + v_b = sum_w -x_w v_w``
         is the wall relation; every other divisor misses the curve. This is
         the number ``-<u_w, v_a + v_b>`` with ``u_w`` the dual of w on
-        ``tau + a``, because ``<u_w, v_a> = 0`` on that cone. ``None`` when
-        :meth:`wall_relation` is ``None``.
+        ``tau + a``, because ``<u_w, v_a> = 0`` on that cone. Raises as
+        :meth:`wall_relation` does.
         """
         x = self.wall_relation(tau)
-        if x is None:
-            return None
-        numbers = dict.fromkeys(self.link(tau), 1)
+        numbers = dict.fromkeys(self.walls[tau], 1)
         numbers.update((w, -x[w]) for w in tau)
         return numbers
 
@@ -342,20 +342,13 @@ def containing_cones(fan: Fan, point: Sequence[int]) -> Iterator[tuple[Cone, tup
     row of the cone's dual basis (integers on a unimodular cone, ``Fraction``
     on any other nondegenerate one), and a cone is left at its first
     negative coordinate. The dual bases come from a per-fan table built on
-    first use. A degenerate cone falls back to the rational solver's
-    canonical solution, and ``point`` outside its span is never yielded.
-    This is the one place that decides whether a maximal cone holds a
-    point: :func:`primitive_relation` and the overlap check of
-    :func:`validate_fan` both ask it.
+    first use, which raises :class:`FanError` on a degenerate cone. This is
+    the one place that decides whether a maximal cone holds a point:
+    :func:`primitive_relation` and the overlap check of :func:`validate_fan`
+    both ask it.
     """
     p0, p1, p2, p3 = point
-    for mc, duals in fan._cone_duals:
-        if duals is None:
-            sol = solve(_column_matrix([fan.ray(i) for i in mc]), point)
-            if sol is not None and min(sol[0]) >= 0:
-                yield mc, tuple(sol[0])
-            continue
-        u0, u1, u2, u3 = duals
+    for mc, (u0, u1, u2, u3) in fan._cone_duals:
         c0 = u0[0] * p0 + u0[1] * p1 + u0[2] * p2 + u0[3] * p3
         if c0 < 0:
             continue
@@ -415,50 +408,44 @@ def validate_fan(fan: Fan) -> FanReport:
     of the wall's two cones and enters the other. That complement is
     connected, so the number is the same at every point off the walls, and
     the third check makes it 1: the cones cover the space without
-    overlapping. Failures are reported, never raised, and a degenerate cone
-    is reported once.
+    overlapping. ``complete`` is true only when all three checks ran and
+    passed, so never on a fan with a degenerate maximal cone. Failures are
+    reported, never raised, and a degenerate cone is reported once.
 
-    The links of all walls come from one pass over the maximal cones. The
-    side test fills the cache of :meth:`Fan.wall_relation`: with neighbours
-    a < b, the cones lie on opposite sides exactly when v_b has a negative
-    coordinate x_a over the generators of ``wall + a``, one unrolled integer
-    dot product per generator. The same vector later gives the wall's curve
-    numbers, and :func:`~toricfano.chern.classify` adds each wall's terms to
-    the three surfaces it borders, so each wall relation is computed once.
-    The point check asks :func:`containing_cones`, the test that
-    :func:`primitive_relation` uses too.
+    The pairing check reads :attr:`Fan.walls`. The side test reads
+    :meth:`Fan.wall_relation`: the cones lie on opposite sides exactly when
+    v_b has a negative coordinate x_a over the generators of ``wall + a``.
+    The point check asks :func:`containing_cones`.
     """
     problems = []
     simplicial_ok = True
     smooth = True
     for mc in fan.maxcones:
-        _, d = fan.cone_basis(mc)
-        if d == 0:
+        try:
+            _, d = fan.cone_basis(mc)
+        except FanError as exc:
             simplicial_ok = smooth = False
-            problems.append(f"cone {mc} is degenerate")
-        elif abs(d) != 1:
+            problems.append(str(exc))
+            continue
+        if abs(d) != 1:
             smooth = False
             problems.append(f"cone {mc} has determinant {d}")
 
-    # the maximal cones around each wall, in ascending order of the added ray
-    links: dict[Cone, list[int]] = {}
-    for mc in fan.maxcones:
-        for k, n in enumerate(mc):
-            links.setdefault(mc[:k] + mc[k + 1 :], []).append(n)
+    walls = fan.walls
     gaps = [] if fan.maxcones else ["fan has no maximal cones"]
     for wall in fan.cones3:
-        if len(links[wall]) != 2:
-            gaps.append(f"wall {wall} lies in {len(links[wall])} maximal cone(s)")
+        if len(walls[wall]) != 2:
+            gaps.append(f"wall {wall} lies in {len(walls[wall])} maximal cone(s)")
     if simplicial_ok and not gaps:
         for wall in fan.cones3:
-            a, b = link = links[wall]
-            if fan._wall_relation(wall, link)[a] >= 0:
+            a, b = walls[wall]
+            if fan.wall_relation(wall)[a] >= 0:
                 cone_a, cone_b = _cone(wall + (a,)), _cone(wall + (b,))
                 gaps.append(f"cones {cone_a} and {cone_b} lie on one side of wall {wall}")
         first = fan.maxcones[0]
         point = tuple(map(sum, zip(*(fan.ray(i) for i in first))))
         gaps.extend(f"cones {first} and {mc} overlap" for mc, _ in containing_cones(fan, point) if mc != first)
-    return FanReport(smooth, not gaps, simplicial_ok, problems + gaps)
+    return FanReport(smooth, simplicial_ok and not gaps, simplicial_ok, problems + gaps)
 
 
 def is_fano(fan: Fan) -> bool:
@@ -580,8 +567,9 @@ def lattice_equivalent(fan_a: Fan, fan_b: Fan) -> bool:
 
     base = fan_a.maxcones[0]
     # the dual basis, as rows, is the inverse of the generator column matrix
-    base_inv, _ = fan_a.cone_basis(base)
-    if base_inv is None:
+    try:
+        base_inv, _ = fan_a.cone_basis(base)
+    except FanError:
         return False
     ray_index_b = {v: j + 1 for j, v in enumerate(fan_b.rays)}
     maxset_b = set(fan_b.maxcones)

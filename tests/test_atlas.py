@@ -105,7 +105,6 @@ def test_shipped_database_has_67_unique_records(database):
     assert len(set(names)) == 67
     assert names[0] == "P4"
     assert set(names) == {name for name, _, _ in REFERENCE_TABLE} | {"P4"}
-    assert all(rec.source == "shipped" for rec in database)
 
 
 def test_shipped_database_spot_checks(database):

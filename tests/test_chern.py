@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from toricfano.chern import (
     dual_functional,
 )
 from toricfano.exactlin import dot
-from toricfano.fan import Fan, build_fan, build_fan_from_rays, validate_fan
+from toricfano.fan import Fan, FanError, build_fan, build_fan_from_rays, validate_fan
 
 
 @pytest.fixture(scope="module")
@@ -70,30 +71,54 @@ def test_default_path_never_calls_the_rational_solver(database, monkeypatch):
     assert two_fano == [("P4", Fraction(5, 2))]
 
 
+class CountedWrites(dict):
+    """A cache dict that counts how often each key is written."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
 def test_classify_reads_the_wall_relations_that_validation_cached(database, monkeypatch):
-    from collections import Counter
-
     calls = Counter()
+    adjugate4 = toricfano.fan.adjugate4
 
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
+    def counted(*args):
+        calls["adjugate4"] += 1
+        return adjugate4(*args)
 
     fans = []
     for name in ("H1", "M5", "124"):
         rec = database.lookup(name)
         fan = build_fan(rec.rays, rec.collections)
+        fan._relations = CountedWrites()
         assert validate_fan(fan).ok
+        assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1))
         fans.append(fan)
-    monkeypatch.setattr(toricfano.fan, "adjugate4", counted("adjugate4", toricfano.fan.adjugate4))
-    relate = counted("_wall_relation", toricfano.fan.Fan._wall_relation)
-    monkeypatch.setattr(toricfano.fan.Fan, "_wall_relation", relate)
+    monkeypatch.setattr(toricfano.fan, "adjugate4", counted)
     for fan in fans:
         assert len(classify(fan).values) == len(fan.cones2)
+        assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1))
     assert calls == {}
+
+
+@pytest.mark.parametrize("validated", [True, False], ids=["validated", "unvalidated"])
+def test_each_wall_relation_is_computed_once_per_fan(fans, validated):
+    for name in ("P4", "H1", "M5", "117", "124"):
+        fan = Fan(fans[name].rays, fans[name].maxcones)
+        fan._relations = CountedWrites()
+        if validated:
+            assert validate_fan(fan).ok
+        classify(fan)
+        for sigma in fan.cones2:
+            ch2_dot_surface(fan, sigma)
+        for tau in fan.cones3:
+            anticanonical_degree(fan, tau)
+        assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1)), name
 
 
 def test_dual_functional_requires_membership(h1):
@@ -271,7 +296,7 @@ def test_classify_sweep_matches_the_single_surface_route_and_the_oracle(fans, or
         if validated:
             assert validate_fan(fresh).ok
         else:
-            assert fresh._walls == {}
+            assert fresh._relations == {}
         values = classify(fresh).values
         assert list(values) == list(fan.cones2)
         for sigma, value in values.items():
@@ -283,45 +308,61 @@ def test_classify_sweep_matches_the_single_surface_route_and_the_oracle(fans, or
 P4_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
 
 
-@pytest.mark.parametrize(
-    "fan",
-    [
-        # P(1,1,1,1,2): rational duals on the cone of determinant -2
-        build_fan(P4_RAYS[:4] + ((-1, -1, -1, -2),), ((1, 2, 3, 4, 5),)),
-        # P4 without one maximal cone: the walls of the hole have no relation
-        Fan(P4_RAYS, build_fan(P4_RAYS, ((1, 2, 3, 4, 5),)).maxcones[1:]),
-    ],
-    ids=["weighted", "incomplete"],
-)
-def test_classify_sweep_falls_back_where_a_wall_has_no_relation(fan):
+def test_classify_sweep_reads_rational_wall_relations():
+    # P(1,1,1,1,2): rational duals on the cone of determinant -2
+    fan = build_fan(P4_RAYS[:4] + ((-1, -1, -1, -2),), ((1, 2, 3, 4, 5),))
     values = classify(Fan(fan.rays, fan.maxcones)).values
     assert values == {sigma: ch2_dot_surface(Fan(fan.rays, fan.maxcones), sigma) for sigma in fan.cones2}
 
 
+DEGENERATE_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
+
+
+@pytest.mark.parametrize(
+    ("fan", "message"),
+    [
+        # P4 without the cone (1, 2, 3, 4): the walls of the hole lie in one maximal cone
+        (
+            Fan(P4_RAYS, build_fan(P4_RAYS, ((1, 2, 3, 4, 5),)).maxcones[1:]),
+            r"^wall \(1, 2, 3\) lies in 1 maximal cone\(s\)$",
+        ),
+        # v3 = v1 + v2
+        (build_fan(DEGENERATE_RAYS, ((1, 2, 3, 4, 5),)), r"^cone \(1, 2, 3, 4\) is degenerate$"),
+    ],
+    ids=["incomplete", "degenerate"],
+)
+def test_classify_refuses_a_wall_without_a_relation(fan, message):
+    computations = (
+        classify,
+        lambda fan: ch2_dot_surface(fan, (1, 2)),
+        lambda fan: divisor_dot_curve(fan, 5, (1, 2, 3)),
+    )
+    for compute in computations:
+        with pytest.raises(FanError, match=message):
+            compute(Fan(fan.rays, fan.maxcones))
+
+
+def test_ch2_of_a_non_face_names_it(h1):
+    # {1, 6} is a primitive collection of H1
+    with pytest.raises(FanError, match=r"^\(1, 6\) is not a cone of the fan$"):
+        ch2_dot_surface(h1, (1, 6))
+
+
 def test_classify_on_a_validated_fan_reads_no_link_and_no_single_surface_sum(fans, monkeypatch):
-    from collections import Counter
-
+    # the walls around one surface are read only by the single-surface sum
     calls = Counter()
+    wall_sum = toricfano.chern._wall_sum
 
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name, len(args[-1])] += 1
-            return original(*args)
-
-        return wrapper
+    def counted(*args):
+        calls["_wall_sum"] += 1
+        return wall_sum(*args)
 
     validated, unvalidated = [], []
     for fan in fans.values():
         validated.append(Fan(fan.rays, fan.maxcones))
         assert validate_fan(validated[-1]).ok
         unvalidated.append(Fan(fan.rays, fan.maxcones))
-    monkeypatch.setattr(Fan, "link", counted("link", Fan.link))
-    monkeypatch.setattr(toricfano.chern, "_wall_sum", counted("_wall_sum", toricfano.chern._wall_sum))
-    for fan in validated:
+    monkeypatch.setattr(toricfano.chern, "_wall_sum", counted)
+    for fan in validated + unvalidated:
         classify(fan)
     assert calls == {}
-    # without the cache each wall relation reads the link of its wall, and
-    # no 2-cone's link is read
-    for fan in unvalidated:
-        classify(fan)
-    assert calls == {("link", 3): sum(len(fan.cones3) for fan in unvalidated)}

@@ -266,8 +266,8 @@ def test_single_surface_query_computes_only_the_cone_bases_it_reads(monkeypatch,
         calls.clear()
         code, out, _ = run(capsys, "ch2", name, "--surface", "{},{}".format(*surface))
         assert (code, out) == (0, value + "\n")
-        link = atlas.record_fan(database.lookup(name)).link(surface)
-        assert calls["adjugate4"] <= 1 + len(link), (name, calls)
+        walls = [tau for tau in atlas.record_fan(database.lookup(name)).walls if set(surface) <= set(tau)]
+        assert calls["adjugate4"] <= 1 + len(walls), (name, calls)
         assert calls["validate_fan"] == calls["classify"] == 0, (name, calls)
 
 
@@ -309,6 +309,27 @@ def test_ch2_validates_a_user_atlas(tmp_path, capsys):
         code, out, err = run(capsys, "--db", str(db), "ch2", "D", *extra)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"D: {line}" for line in DEGENERATE_ERR]
+
+
+def test_validate_does_not_call_a_degenerate_record_complete(tmp_path, capsys):
+    db = tmp_path / "degenerate.txt"
+    db.write_text("variety D\n" + DEGENERATE)
+    # completeness is not proved when the side and point checks cannot run
+    code, out, err = run(capsys, "validate", str(db))
+    assert (code, out.splitlines()[1]) == (1, "D\tfalse\tfalse\tfalse\tfalse\tfalse")
+    assert err.splitlines() == [f"D: {line}" for line in DEGENERATE_ERR[:2]]
+
+
+def test_show_names_the_degenerate_cone_of_a_record(tmp_path, capsys):
+    db = tmp_path / "degenerate.txt"
+    db.write_text("variety D\n" + DEGENERATE)
+    code, out, err = run(capsys, "--db", str(db), "show", "D")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == [
+        "  collections:",
+        "  (relations unavailable: cone (1, 2, 3, 4) is degenerate)",
+        "    {1, 2, 3, 4, 5}",
+    ]
 
 
 def test_paper_table_validates_a_user_atlas(tmp_path, capsys):

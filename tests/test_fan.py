@@ -190,15 +190,20 @@ def test_non_unimodular_cone_keeps_its_checks():
         build_fan_from_rays(WP_RAYS)
 
 
+# v3 = v1 + v2, so the cones (1, 2, 3, 4) and (1, 2, 3, 5) are degenerate
+DEGENERATE_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
+
+
 def test_degenerate_cone_is_reported_not_divided_by():
-    rays = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
-    fan = build_fan(rays, ((1, 2, 3, 4, 5),))
+    fan = build_fan(DEGENERATE_RAYS, ((1, 2, 3, 4, 5),))
     report = validate_fan(fan)
-    assert not report.simplicial_ok
-    assert "cone (1, 2, 3, 4) is degenerate" in report.problems
-    assert fan.cone_basis((1, 2, 3, 4)) == (None, 0)
-    assert fan.dual(1, (1, 2, 3)) is None
-    with pytest.raises(FanError, match="ambiguous minimal cone"):
+    # the side and point checks never ran, so completeness is not proved
+    assert (report.simplicial_ok, report.complete) == (False, False)
+    assert report.problems == ["cone (1, 2, 3, 4) is degenerate", "cone (1, 2, 3, 5) is degenerate"]
+    for degenerate in (lambda: fan.cone_basis((1, 2, 3, 4)), lambda: fan.dual(1, (1, 2, 3))):
+        with pytest.raises(FanError, match=r"^cone \(1, 2, 3, 4\) is degenerate$"):
+            degenerate()
+    with pytest.raises(FanError, match=r"^cone \(1, 2, 3, 4\) is degenerate$"):
         primitive_relation(fan, (1, 2, 3, 4, 5))
     assert not lattice_equivalent(fan, fan)
 
@@ -344,7 +349,7 @@ def test_curve_numbers_match_the_wall_oracle(fans):
     for name, fan in fans.items():
         for tau in fan.cones3:
             numbers = fan.curve_numbers(tau)
-            assert len(fan.link(tau)) == 2 and set(numbers) == set(tau + fan.link(tau)), (name, tau)
+            assert len(fan.walls[tau]) == 2 and set(numbers) == set(tau + fan.walls[tau]), (name, tau)
             for w in range(1, fan.ray_count + 1):
                 assert numbers.get(w, 0) == wall_curve_oracle(fan, w, tau), (name, tau, w)
 
@@ -352,7 +357,7 @@ def test_curve_numbers_match_the_wall_oracle(fans):
 def test_wall_relation_expresses_the_far_neighbour_over_the_near_cone(fans):
     for name, fan in fans.items():
         for tau in fan.cones3:
-            a, b = fan.link(tau)
+            a, b = fan.walls[tau]
             x = fan.wall_relation(tau)
             assert set(x) == set(tau + (a,)), (name, tau)
             assert tuple(sum(c * fan.ray(k)[i] for k, c in x.items()) for i in range(4)) == fan.ray(b)
@@ -360,16 +365,18 @@ def test_wall_relation_expresses_the_far_neighbour_over_the_near_cone(fans):
 
 
 def test_curve_numbers_need_a_nondegenerate_wall():
-    rays = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
-    fan = build_fan(rays, ((1, 2, 3, 4, 5),))
-    assert fan.curve_numbers((1, 2, 3)) is None  # its maximal cone is degenerate
+    fan = build_fan(DEGENERATE_RAYS, ((1, 2, 3, 4, 5),))
+    with pytest.raises(FanError, match=r"^cone \(1, 2, 3, 4\) is degenerate$"):
+        fan.curve_numbers((1, 2, 3))  # its maximal cone is degenerate
     p4 = build_fan(P4_RAYS, ((1, 2, 3, 4, 5),))
-    assert p4.curve_numbers((1, 2)) is None  # not a wall
+    with pytest.raises(FanError, match=r"^\(1, 2\) is not a 3-dimensional cone of the fan$"):
+        p4.curve_numbers((1, 2))
     # every invariant curve of P4 is a line, meeting each hyperplane once
     assert p4.curve_numbers((1, 2, 3)) == dict.fromkeys(range(1, 6), 1)
-    assert p4.link((1, 2)) == (3, 4, 5)
+    assert p4.walls[1, 2, 3] == (4, 5)
     # without the cone (2, 3, 4, 5) the wall (2, 3, 4) lies in one maximal cone
-    assert Fan(p4.rays, p4.maxcones[:-1]).curve_numbers((2, 3, 4)) is None
+    with pytest.raises(FanError, match=r"^wall \(2, 3, 4\) lies in 1 maximal cone\(s\)$"):
+        Fan(p4.rays, p4.maxcones[:-1]).curve_numbers((2, 3, 4))
 
 
 def test_primitive_relation_describe(h1, p4):
@@ -424,7 +431,7 @@ PENTAGRAM_CONES = tuple(
 
 def test_validate_fan_catches_cones_that_cover_twice():
     fan = Fan(PENTAGRAM_RAYS, PENTAGRAM_CONES)
-    assert all(len(fan.link(wall)) == 2 for wall in fan.cones3)
+    assert all(len(fan.walls[wall]) == 2 for wall in fan.cones3)
     report = validate_fan(fan)
     assert (report.complete, report.simplicial_ok) == (False, True)
     assert [p for p in report.problems if "determinant" not in p] == [
@@ -444,29 +451,22 @@ def _solver_containing_cones(fan, points):
     """For each point, every ``(mc, x)`` with x the rational solver's solution
     of sum_k x_k v_k = point over the generators of ``mc`` and all x_k >= 0.
 
-    Every coordinate is computed. On a nondegenerate cone x is read from the
-    solver's inverse (four solves per cone, not per point); on a degenerate
-    one the solver runs for each point and gives its canonical solution.
+    Every coordinate is computed, from the solver's inverse of each cone
+    (four solves per cone, not per point).
     """
     units = [tuple(int(r == c) for c in range(4)) for r in range(4)]
     inverses = {}
     for mc in fan.maxcones:
         m = [[fan.ray(i)[r] for i in mc] for r in range(4)]
         sols = [solve(m, e) for e in units]
-        cols = None
-        if all(s is not None and s[1] == 4 for s in sols):
-            cols = [tuple(int(v) if v.denominator == 1 else v for v in s[0]) for s in sols]
-        inverses[mc] = (m, cols)
+        assert all(s is not None and s[1] == 4 for s in sols), mc
+        inverses[mc] = [tuple(int(v) if v.denominator == 1 else v for v in s[0]) for s in sols]
     found = []
     for point in points:
         cones = []
-        for mc, (m, cols) in inverses.items():
-            if cols is None:
-                sol = solve(m, point)
-                x = None if sol is None else tuple(sol[0])
-            else:
-                x = tuple(sum(p * col[k] for p, col in zip(point, cols)) for k in range(4))
-            if x is not None and min(x) >= 0:
+        for mc, cols in inverses.items():
+            x = tuple(sum(p * col[k] for p, col in zip(point, cols)) for k in range(4))
+            if min(x) >= 0:
                 cones.append((mc, x))
         found.append(cones)
     return found
@@ -476,9 +476,6 @@ def test_containing_cones_matches_the_rational_solver(fans):
     rng = random.Random(7)
     test_fans = dict(fans)
     test_fans["P(1,1,1,1,2)"] = build_fan(WP_RAYS, ((1, 2, 3, 4, 5),))
-    test_fans["degenerate"] = build_fan(
-        ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1)), ((1, 2, 3, 4, 5),)
-    )
     test_fans["pentagram"] = Fan(PENTAGRAM_RAYS, PENTAGRAM_CONES)
     shared = unique = 0
     for name, fan in test_fans.items():
@@ -492,3 +489,24 @@ def test_containing_cones_matches_the_rational_solver(fans):
             unique += len(expected) == 1
     # points on a common face of several cones, and points inside one
     assert shared > 1000 and unique > 1000
+    # a degenerate maximal cone has no coordinates to give
+    degenerate = build_fan(DEGENERATE_RAYS, ((1, 2, 3, 4, 5),))
+    with pytest.raises(FanError, match=r"^cone \(1, 2, 3, 4\) is degenerate$"):
+        next(containing_cones(degenerate, (1, 1, 1, 1)))
+
+
+def _brute_force_walls(fan):
+    """Each 3-cone with every ray n, ascending, such that 3-cone + n is a maximal cone."""
+    return {
+        tau: tuple(n for n in range(1, fan.ray_count + 1) if n not in tau and fan.is_maxcone(tau + (n,)))
+        for tau in fan.cones3
+    }
+
+
+def test_wall_table_matches_a_brute_force_scan(fans, p4):
+    samples = dict(fans)
+    samples["pentagram"] = Fan(PENTAGRAM_RAYS, PENTAGRAM_CONES)
+    samples["P4 minus a cone"] = Fan(p4.rays, p4.maxcones[:-1])
+    for name, fan in samples.items():
+        assert fan.walls == _brute_force_walls(fan), name
+    assert samples["P4 minus a cone"].walls[2, 3, 4] == (1,)
