@@ -78,15 +78,15 @@ def cmd_show(args) -> int:
     collections = rec.collections
     tag = " (derived)" if collections is None or rec.collections_derived else ""
     print(f"  collections{tag}:")
-    try:
-        if collections is None:
-            collections = analysis.nonfaces  # of the face fan of the rays
-        for coll in collections:
-            print(f"    {analysis.relation(coll).describe()}")
-    except FanError as exc:
-        print(f"  (relations unavailable: {exc})")
+    report = analysis.report
+    if not report.ok:
+        # a record that fails validation may not be a fan, so no relation is computed
+        print(f"  (relations unavailable: {report.problems[0]})")
         for coll in collections or ():
             print(f"    {{{', '.join(str(i) for i in coll)}}}")
+        return EXIT_OK
+    for coll in analysis.nonfaces if collections is None else collections:
+        print(f"    {analysis.relation(coll).describe()}")
     return EXIT_OK
 
 

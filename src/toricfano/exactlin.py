@@ -58,32 +58,6 @@ def det4(rows: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def _minors2(y, z) -> tuple[int, ...]:
-    # 2x2 minors of the rows y, z on the column pairs 01, 02, 03, 12, 13, 23
-    y0, y1, y2, y3 = y
-    z0, z1, z2, z3 = z
-    return (
-        y0 * z1 - y1 * z0,
-        y0 * z2 - y2 * z0,
-        y0 * z3 - y3 * z0,
-        y1 * z2 - y2 * z1,
-        y1 * z3 - y3 * z1,
-        y2 * z3 - y3 * z2,
-    )
-
-
-def _cofactors(x, m) -> tuple[int, int, int, int]:
-    # entry k is (-1)^k times the 3x3 minor of the rows x, y, z without
-    # column k, where m = _minors2(y, z)
-    m01, m02, m03, m12, m13, m23 = m
-    return (
-        x[1] * m23 - x[2] * m13 + x[3] * m12,
-        x[2] * m03 - x[0] * m23 - x[3] * m02,
-        x[0] * m13 - x[1] * m03 + x[3] * m01,
-        x[1] * m02 - x[0] * m12 - x[2] * m01,
-    )
-
-
 def adjugate4(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Adjugate and determinant of the 4x4 integer matrix with columns ``cols``.
 
@@ -92,18 +66,43 @@ def adjugate4(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...
     of signed cofactors of ``cols[i]``. Dividing the rows by ``det`` gives
     the dual basis of ``cols`` (integral when ``det`` is +-1); ``det`` is 0
     exactly when the columns are dependent. Each cofactor is expanded over
-    the 2x2 minors of the complementary pair of columns (swapping the pair
-    flips the sign), so the work is a few dozen integer products.
+    the twelve 2x2 minors of the column pairs (a, b) and (c, d), so the work
+    is a few dozen integer products.
     """
-    a, b, c, d = cols
-    row0 = _cofactors(b, _minors2(c, d))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = cols
+    # 2x2 minors of (a, b) and of (c, d) on the coordinate pairs 01 .. 23
+    ab01, ab02, ab03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    ab12, ab13, ab23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    cd01, cd02, cd03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    cd12, cd13, cd23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    row0 = (
+        b1 * cd23 - b2 * cd13 + b3 * cd12,
+        b2 * cd03 - b0 * cd23 - b3 * cd02,
+        b0 * cd13 - b1 * cd03 + b3 * cd01,
+        b1 * cd02 - b0 * cd12 - b2 * cd01,
+    )
     adj_rows = (
         row0,
-        _cofactors(a, _minors2(d, c)),
-        _cofactors(d, _minors2(a, b)),
-        _cofactors(c, _minors2(b, a)),
+        (
+            a2 * cd13 - a1 * cd23 - a3 * cd12,
+            a0 * cd23 - a2 * cd03 + a3 * cd02,
+            a1 * cd03 - a0 * cd13 - a3 * cd01,
+            a0 * cd12 - a1 * cd02 + a2 * cd01,
+        ),
+        (
+            d1 * ab23 - d2 * ab13 + d3 * ab12,
+            d2 * ab03 - d0 * ab23 - d3 * ab02,
+            d0 * ab13 - d1 * ab03 + d3 * ab01,
+            d1 * ab02 - d0 * ab12 - d2 * ab01,
+        ),
+        (
+            c2 * ab13 - c1 * ab23 - c3 * ab12,
+            c0 * ab23 - c2 * ab03 + c3 * ab02,
+            c1 * ab03 - c0 * ab13 - c3 * ab01,
+            c0 * ab12 - c1 * ab02 + c2 * ab01,
+        ),
     )
-    return adj_rows, dot(a, row0)
+    return adj_rows, a0 * row0[0] + a1 * row0[1] + a2 * row0[2] + a3 * row0[3]
 
 
 def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:

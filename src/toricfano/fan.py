@@ -172,9 +172,14 @@ class Fan:
             if len(link) != 2:
                 raise FanError(f"wall {tau} lies in {len(link)} maximal cone(s)")
             mc = self._container[tau]
+            k0, k1, k2, k3 = mc
+            u0, u1, u2, u3 = self.cone_basis(mc)[0]
             v0, v1, v2, v3 = self.rays[link[1] - 1]
             x = self._relations[tau] = {
-                k: u[0] * v0 + u[1] * v1 + u[2] * v2 + u[3] * v3 for k, u in zip(mc, self.cone_basis(mc)[0])
+                k0: u0[0] * v0 + u0[1] * v1 + u0[2] * v2 + u0[3] * v3,
+                k1: u1[0] * v0 + u1[1] * v1 + u1[2] * v2 + u1[3] * v3,
+                k2: u2[0] * v0 + u2[1] * v1 + u2[2] * v2 + u2[3] * v3,
+                k3: u3[0] * v0 + u3[1] * v1 + u3[2] * v2 + u3[3] * v3,
             }
         return x
 
@@ -283,28 +288,76 @@ def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]
     return Fan(rays, maxcones)
 
 
+def _triple_functionals(rays: Sequence[LatticePoint]) -> list[list[list]]:
+    # table[a][b][c], for 0-based a < b < c, is the integer functional
+    # x -> det(v_a, v_b, v_c, x), built from the 2x2 minors of each pair b < c
+    n = len(rays)
+    table = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for b in range(n):
+        b0, b1, b2, b3 = rays[b]
+        for c in range(b + 1, n):
+            c0, c1, c2, c3 = rays[c]
+            m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+            m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+            for a in range(b):
+                a0, a1, a2, a3 = rays[a]
+                table[a][b][c] = (
+                    a2 * m13 - a1 * m23 - a3 * m12,
+                    a0 * m23 - a2 * m03 + a3 * m02,
+                    a1 * m03 - a0 * m13 - a3 * m01,
+                    a0 * m12 - a1 * m02 + a2 * m01,
+                )
+    return table
+
+
 def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
     """Build the face fan of the polytope spanned by ``rays``.
 
     A 4-subset spans a maximal cone when its rays lie on a common facet: the
     linear functional taking value 1 on all four rays exists (the rays are
-    independent) and takes value strictly below 1 on every other ray. That
-    functional is the sum of the adjugate rows divided by the determinant,
-    so the test runs in integers as ``sign(det) * <sum, v> < |det|``. The
-    result must validate as smooth and complete, otherwise the rays are not
-    the vertex set of a suitable polytope and :class:`FanError` is raised,
-    naming at most :data:`MAX_PROBLEMS` of the problems.
+    independent) and takes value strictly below 1 on every other ray. The
+    test runs in integers. With L(a, b, c) the functional
+    ``x -> det(v_a, v_b, v_c, x)``, computed once per ray triple, the
+    subset a < b < c < d has determinant ``det = <L(a, b, c), v_d>``, and
+    ``F = L(a, b, c) - L(a, b, d) + L(a, c, d) - L(b, c, d)`` is the sum of
+    its adjugate rows, ``det`` times the facet functional. So ``sign(det) F``
+    takes the value ``|det|`` on the four rays, and the subset spans a
+    maximal cone exactly when no other ray reaches it. The result must
+    validate as smooth and complete, otherwise the rays are not the vertex
+    set of a suitable polytope and :class:`FanError` is raised, naming at
+    most :data:`MAX_PROBLEMS` of the problems.
     """
     rays = tuple(tuple(v) for v in rays)
+    n = len(rays)
+    table = _triple_functionals(rays)
     maxcones = []
-    for mc in itertools.combinations(range(1, len(rays) + 1), DIM):
-        adj, det = adjugate4([rays[i - 1] for i in mc])
-        if det == 0:
-            continue
-        sign = 1 if det > 0 else -1
-        scaled = tuple(sign * sum(col) for col in zip(*adj))  # |det| times the functional
-        if all(dot(scaled, rays[j - 1]) < abs(det) for j in range(1, len(rays) + 1) if j not in mc):
-            maxcones.append(mc)
+    for a in range(n):
+        for b in range(a + 1, n):
+            row_ab = table[a][b]
+            for c in range(b + 1, n):
+                p0, p1, p2, p3 = row_ab[c]
+                row_ac, row_bc = table[a][c], table[b][c]
+                for d in range(c + 1, n):
+                    d0, d1, d2, d3 = rays[d]
+                    det = p0 * d0 + p1 * d1 + p2 * d2 + p3 * d3
+                    if not det:
+                        continue
+                    q0, q1, q2, q3 = row_ab[d]
+                    r0, r1, r2, r3 = row_ac[d]
+                    s0, s1, s2, s3 = row_bc[d]
+                    f0, f1 = p0 - q0 + r0 - s0, p1 - q1 + r1 - s1
+                    f2, f3 = p2 - q2 + r2 - s2, p3 - q3 + r3 - s3
+                    if det < 0:
+                        f0, f1, f2, f3, det = -f0, -f1, -f2, -f3, -det
+                    # the four rays of the subset reach det exactly, so a fifth hit is another ray
+                    hits = 0
+                    for x0, x1, x2, x3 in rays:
+                        if f0 * x0 + f1 * x1 + f2 * x2 + f3 * x3 >= det:
+                            hits += 1
+                            if hits > 4:
+                                break
+                    else:
+                        maxcones.append((a + 1, b + 1, c + 1, d + 1))
     fan = Fan(rays, maxcones)
     report = validate_fan(fan)
     if not report.ok:
@@ -319,17 +372,45 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
     subset is; checking its facets suffices because faces are downward
     closed. Dropping the largest member of a minimal non-face leaves a face,
     so the candidates are the nonempty faces extended by one larger ray
-    index, and that facet needs no check.
+    index, and that facet needs no check. Every pair of a candidate of size
+    3 or more is a 2-cone, so a face of two or more rays is extended only by
+    rays adjacent to all its members (a bitmask of neighbours per ray, from
+    :attr:`Fan.cones2`), and a ray only by rays in some cone that are not
+    adjacent to it. The facets left to probe are those larger than an edge.
     """
     faces = fan._container
+    adjacent = [0] * (fan.ray_count + 1)
+    for i, j in fan.cones2:
+        adjacent[i] |= 1 << j
+        adjacent[j] |= 1 << i
+    in_cones = 0
+    for mc in fan.maxcones:
+        for i in mc:
+            in_cones |= 1 << i
     found = []
     for face in faces:
-        if not face:
+        size = len(face)
+        if not size:
             continue
-        for r in range(face[-1] + 1, fan.ray_count + 1):
-            sub = face + (r,)
-            if sub not in faces and all(sub[:k] + sub[k + 1 :] in faces for k in range(len(face))):
-                found.append(sub)
+        r = face[-1]
+        if size == 1:
+            mask = in_cones & ~adjacent[r]
+        else:
+            mask = -1
+            for i in face:
+                mask &= adjacent[i]
+        mask >>= r + 1
+        while mask:
+            r += 1
+            if mask & 1:
+                # a pair outside cones2 is a non-face whose facets are rays in
+                # cones; the facets of a triple are adjacent pairs
+                sub = face + (r,)
+                if size == 1 or sub not in faces and (
+                    size == 2 or all(sub[:k] + sub[k + 1 :] in faces for k in range(size))
+                ):
+                    found.append(sub)
+            mask >>= 1
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
@@ -385,7 +466,8 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
         raise FanError(f"no containing cone for the ray sum of {coll}")
     if len(seen) > 1:
         found = sorted((tuple(i for i, _ in pairs), tuple(Fraction(v) for _, v in pairs)) for pairs in seen)
-        raise FanError(f"ambiguous minimal cone for {coll}: {found}")
+        cones = "; ".join(f"{cone} with coefficients {', '.join(map(str, coeffs))}" for cone, coeffs in found)
+        raise FanError(f"ambiguous minimal cone for {coll}: {cones}")
     (pairs,) = seen
     if any(v.denominator != 1 for _, v in pairs):
         raise FanError(f"non-integral coefficients for {coll}: fan is not smooth")

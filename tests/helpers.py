@@ -1,12 +1,15 @@
 """Shared test machinery: functional perturbations, independent
-divisor-curve and ch2 oracles built on wall relations only, and the errata
-of the reference table."""
+divisor-curve and ch2 oracles built on wall relations only, reference
+versions of the face-fan and non-face searches, and the errata of the
+reference table."""
 
+import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
 from toricfano.chern import dual_functional
-from toricfano.exactlin import nullspace, solve
+from toricfano.exactlin import adjugate4, dot, nullspace, solve
+from toricfano.fan import Fan
 
 
 def perturbed_functional(fan, w, cone, rng):
@@ -129,6 +132,37 @@ def wall_ch2_oracle(fan, sigma):
         elif w in curves:
             total += wall_curve_oracle(fan, w, curves[w])
     return total / 2
+
+
+def face_fan_by_subsets(rays):
+    """The face fan of ``rays`` before validation, one 4-subset at a time.
+
+    The reference for :func:`toricfano.fan.build_fan_from_rays`: a 4-subset
+    spans a maximal cone when its adjugate has nonzero determinant and the
+    sum of its rows, ``det`` times the facet functional, stays strictly below
+    ``|det|`` on every other ray.
+    """
+    maxcones = []
+    for mc in itertools.combinations(range(1, len(rays) + 1), 4):
+        adj, det = adjugate4([rays[i - 1] for i in mc])
+        if det == 0:
+            continue
+        sign = 1 if det > 0 else -1
+        scaled = tuple(sign * sum(col) for col in zip(*adj))
+        if all(dot(scaled, rays[j - 1]) < abs(det) for j in range(1, len(rays) + 1) if j not in mc):
+            maxcones.append(mc)
+    return Fan(rays, maxcones)
+
+
+def brute_force_nonfaces(fan):
+    """Every 2- to 5-subset that is not a face while all its facets are;
+    the reference for :func:`toricfano.fan.minimal_nonfaces`."""
+    found = []
+    for size in range(2, 6):
+        for sub in itertools.combinations(range(1, fan.ray_count + 1), size):
+            if not fan.is_face(sub) and all(fan.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
+                found.append(sub)
+    return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
 class Erratum(NamedTuple):

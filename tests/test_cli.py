@@ -332,6 +332,30 @@ def test_show_names_the_degenerate_cone_of_a_record(tmp_path, capsys):
     ]
 
 
+def test_show_prints_no_relations_for_a_ray_swap_with_cones_on_one_side_of_a_wall(tmp_path, capsys):
+    from toricfano.atlas import AtlasDatabase
+
+    # swapping v1 and v7 of H1 keeps every cone unimodular, but six walls have
+    # both their cones on one side and cones overlap: show must print no relations
+    h1 = shipped_database().lookup("H1")
+    rays = list(h1.rays)
+    rays[0], rays[6] = rays[6], rays[0]
+    path = tmp_path / "swap.txt"
+    path.write_text(render(AtlasDatabase((replace(h1, name="H1s", rays=tuple(rays)),))))
+    code, out, err = run(capsys, "--db", str(path), "show", "H1s")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[9:] == [
+        "  collections:",
+        "  (relations unavailable: cones (1, 3, 4, 7) and (1, 3, 4, 8) lie on one side of wall (1, 3, 4))",
+        "    {1, 2}",
+        "    {7, 8}",
+        "    {1, 6}",
+        "    {2, 7}",
+        "    {6, 8}",
+        "    {3, 4, 5}",
+    ]
+
+
 def test_paper_table_validates_a_user_atlas(tmp_path, capsys):
     text = render(shipped_database()).replace("variety E1\n", "variety E1x\n", 1)
     db = tmp_path / "degenerate-e1.txt"

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import wall_curve_oracle
+from helpers import brute_force_nonfaces, face_fan_by_subsets, wall_curve_oracle
 
-from toricfano.exactlin import dot, solve
+from toricfano import fan as fan_module
+from toricfano.exactlin import adjugate4, dot, solve
 from toricfano.fan import (
     Fan,
     FanError,
     build_fan,
     build_fan_from_rays,
+    cap_problems,
     containing_cones,
     is_fano,
     lattice_equivalent,
@@ -261,6 +263,59 @@ def test_face_fan_needs_other_rays_strictly_below_the_facet():
         build_fan_from_rays(rays)
 
 
+def _random_ray_sets(rng, count):
+    # 5 to 12 rays with entries in -3..3, some with a zero ray, a repeated
+    # ray, or a ray in the plane of two others
+    for _ in range(count):
+        n = rng.randint(5, 12)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(n)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            rays[rng.randrange(n)] = (0, 0, 0, 0)
+        elif kind == 2:
+            rays[rng.randrange(n)] = rays[rng.randrange(n)]
+        elif kind == 3:
+            i, j, k = rng.sample(range(n), 3)
+            rays[k] = tuple(x + y for x, y in zip(rays[i], rays[j]))
+        yield tuple(rays)
+
+
+def test_face_fan_search_matches_the_per_subset_adjugate_rule(database, monkeypatch):
+    rng = random.Random(9)
+    samples = [tuple(itertools.product((1, -1), repeat=4)), *_random_ray_sets(rng, 300)]
+    for rec in database:
+        rays = list(rec.rays)
+        rng.shuffle(rays)
+        samples.append(tuple(rays))
+        rays[rng.randrange(len(rays))] = tuple(rng.randint(-2, 2) for _ in range(4))
+        samples.append(tuple(rays))
+    searched = []
+    monkeypatch.setattr(fan_module, "validate_fan", lambda fan: searched.append(fan) or validate_fan(fan))
+    accepted = 0
+    for rays in samples:
+        expected = face_fan_by_subsets(rays)
+        report = validate_fan(expected)
+        try:
+            fan = build_fan_from_rays(rays)
+        except FanError as exc:
+            assert str(exc) == "not a Fano face fan: " + "; ".join(cap_problems(report.problems)), rays
+        else:
+            assert report.ok and fan == expected, rays
+            accepted += 1
+        assert searched[-1] == expected, rays
+    assert 67 <= accepted < len(samples)
+
+
+def test_cone_bases_call_the_adjugate_and_the_face_fan_search_does_not(database, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fan_module, "adjugate4", lambda cols: calls.append(cols) or adjugate4(cols))
+    rays = database.lookup("124").rays
+    fan = build_fan_from_rays(rays)
+    # validation reads one cone basis per maximal cone, the 4-subsets none
+    assert len(calls) == len(fan.maxcones) < len(list(itertools.combinations(rays, 4)))
+    assert calls == [[fan.ray(i) for i in mc] for mc in fan.maxcones]
+
+
 H1_RELATIONS = (
     ((1, 2), {8: 1}),
     ((7, 8), {1: 1}),
@@ -328,21 +383,28 @@ def test_lattice_equivalent_separates_different_varieties(fans):
     assert not lattice_equivalent(fans["P4"], fans["E1"])
 
 
-def _brute_force_nonfaces(fan):
-    """Every 2- to 5-subset that is not a face while all its facets are."""
-    found = []
-    for size in range(2, 6):
-        for sub in itertools.combinations(range(1, fan.ray_count + 1), size):
-            if not fan.is_face(sub) and all(fan.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
-                found.append(sub)
-    return tuple(sorted(found, key=lambda c: (len(c), c)))
-
-
 def test_minimal_nonfaces_equals_brute_force(fans):
     samples = dict(fans)
     samples["P(1,1,1,1,2)"] = build_fan(WP_RAYS, ((1, 2, 3, 4, 5),))
     for name, fan in samples.items():
-        assert minimal_nonfaces(fan) == _brute_force_nonfaces(fan), name
+        assert minimal_nonfaces(fan) == brute_force_nonfaces(fan), name
+
+
+def test_minimal_nonfaces_equals_brute_force_on_random_collections():
+    rng = random.Random(10)
+    unused = 0
+    for _ in range(80):
+        ray_count = rng.randint(5, 12)
+        indices = range(1, ray_count + 1)
+        collections = [tuple(sorted(rng.sample(indices, rng.randint(2, 5)))) for _ in range(rng.randint(0, 10))]
+        if rng.random() < 0.3:
+            # a pair with every other ray leaves this ray in no maximal cone
+            r = rng.choice(indices)
+            collections += [tuple(sorted((r, i))) for i in indices if i != r]
+        fan = build_fan([(i, 0, 0, 0) for i in indices], collections)
+        unused += any(not fan.is_face((i,)) for i in indices)
+        assert minimal_nonfaces(fan) == brute_force_nonfaces(fan), collections
+    assert unused
 
 
 def test_curve_numbers_match_the_wall_oracle(fans):
@@ -385,6 +447,19 @@ def test_primitive_relation_describe(h1, p4):
     )
     assert primitive_relation(h1, (2, 7)).describe() == "{2, 7}: v2 + v7 = 0  degree 2"
     assert primitive_relation(h1, (3, 4, 5)).describe() == "{3, 4, 5}: v3 + v4 + v5 = 2*v1  degree 1"
+
+
+def test_ambiguous_minimal_cone_names_plain_coefficients():
+    # H1 with v1 and v7 swapped: v3 + v4 + v5 lies in two overlapping cones
+    rays = list(H1_RAYS)
+    rays[0], rays[6] = rays[6], rays[0]
+    with pytest.raises(FanError) as exc:
+        primitive_relation(build_fan(rays, H1_COLLECTIONS), (3, 4, 5))
+    message = str(exc.value)
+    assert message == (
+        "ambiguous minimal cone for (3, 4, 5): (1, 8) with coefficients 2, 2; (7,) with coefficients 2"
+    )
+    assert "Fraction(" not in message
 
 
 def _swap_maps_collections_onto_themselves(collections, i, j):
