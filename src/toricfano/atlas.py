@@ -47,8 +47,18 @@ LatticePoint = tuple[int, int, int, int]
 MAX_RAYS = 3 * DIM
 
 
+# A parse error quotes at most this many characters of the input.
+MAX_ECHO = 80
+
+
 class AtlasParseError(ValueError):
     """Malformed atlas text; the message carries the offending line number."""
+
+
+def _echo(text: str) -> str:
+    """``text`` as a parse error quotes it: cut to :data:`MAX_ECHO`
+    characters followed by ``...`` when longer, unchanged otherwise."""
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,9 @@ def parse(text: str) -> AtlasDatabase:
     """Parse atlas text into a database, preserving record order.
 
     Raises :class:`AtlasParseError` with a line number for malformed
-    records, wrong arity, non-integer tokens and duplicate names.
+    records, wrong arity, non-integer tokens and duplicate names. The
+    message quotes input text through :func:`_echo`, so its length is
+    bounded however long the offending line is.
     """
     lines = list(_significant_lines(text))
     pos = 0
@@ -129,54 +141,55 @@ def parse(text: str) -> AtlasDatabase:
         try:
             return tuple(int(t) for t in tokens)
         except ValueError:
-            fail(lineno, f"non-integer token in {context}: {' '.join(tokens)}")
+            fail(lineno, f"non-integer token in {context}: {_echo(' '.join(tokens))}")
 
     while pos < len(lines):
         lineno, tokens = next_line("record header")
         if tokens[0] != "variety" or len(tokens) != 2:
-            fail(lineno, f"expected 'variety <name>', got: {' '.join(tokens)}")
+            fail(lineno, f"expected 'variety <name>', got: {_echo(' '.join(tokens))}")
         name = tokens[1]
         if name in names:
-            fail(lineno, f"duplicate variety name {name!r}")
+            fail(lineno, f"duplicate variety name {_echo(name)!r}")
         names.add(name)
+        label = _echo(name)
 
-        lineno, tokens = next_line(f"'rays' header of {name}")
+        lineno, tokens = next_line(f"'rays' header of {label}")
         if tokens[0] != "rays" or len(tokens) != 2:
-            fail(lineno, f"{name}: expected 'rays <d>', got: {' '.join(tokens)}")
-        (count,) = int_tokens(lineno, tokens[1:], f"ray count of {name}")
+            fail(lineno, f"{label}: expected 'rays <d>', got: {_echo(' '.join(tokens))}")
+        (count,) = int_tokens(lineno, tokens[1:], f"ray count of {label}")
         if count < 1:
-            fail(lineno, f"{name}: ray count must be positive")
+            fail(lineno, f"{label}: ray count must be positive")
 
         rays = []
         for k in range(count):
-            lineno, tokens = next_line(f"ray {k + 1} of {name}")
+            lineno, tokens = next_line(f"ray {k + 1} of {label}")
             if tokens[0] in ("variety", "rays", "collections", "end"):
-                fail(lineno, f"{name}: expected {count} ray lines, found {k}")
+                fail(lineno, f"{label}: expected {_echo(str(count))} ray lines, found {k}")
             if len(tokens) != 4:
-                fail(lineno, f"{name}: ray line needs 4 integers, got {len(tokens)}")
-            rays.append(int_tokens(lineno, tokens, f"ray of {name}"))
+                fail(lineno, f"{label}: ray line needs 4 integers, got {len(tokens)}")
+            rays.append(int_tokens(lineno, tokens, f"ray of {label}"))
 
         collections = None
-        lineno, tokens = next_line(f"'collections' or 'end' of {name}")
+        lineno, tokens = next_line(f"'collections' or 'end' of {label}")
         if tokens[0] == "collections":
             if len(tokens) != 2:
-                fail(lineno, f"{name}: expected 'collections <m>'")
-            (m,) = int_tokens(lineno, tokens[1:], f"collection count of {name}")
+                fail(lineno, f"{label}: expected 'collections <m>'")
+            (m,) = int_tokens(lineno, tokens[1:], f"collection count of {label}")
             colls = []
             for k in range(m):
-                lineno, tokens = next_line(f"collection {k + 1} of {name}")
+                lineno, tokens = next_line(f"collection {k + 1} of {label}")
                 if tokens[0] in ("variety", "rays", "collections", "end"):
-                    fail(lineno, f"{name}: expected {m} collection lines, found {k}")
-                idx = int_tokens(lineno, tokens, f"collection of {name}")
+                    fail(lineno, f"{label}: expected {_echo(str(m))} collection lines, found {k}")
+                idx = int_tokens(lineno, tokens, f"collection of {label}")
                 if list(idx) != sorted(set(idx)):
-                    fail(lineno, f"{name}: collection indices must be ascending: {idx}")
+                    fail(lineno, f"{label}: collection indices must be ascending: {_echo(str(idx))}")
                 if not all(1 <= i <= count for i in idx):
-                    fail(lineno, f"{name}: collection index outside 1..{count}: {idx}")
+                    fail(lineno, f"{label}: collection index outside 1..{count}: {_echo(str(idx))}")
                 colls.append(idx)
             collections = tuple(colls)
-            lineno, tokens = next_line(f"'end' of {name}")
+            lineno, tokens = next_line(f"'end' of {label}")
         if tokens != ["end"]:
-            fail(lineno, f"{name}: expected 'end', got: {' '.join(tokens)}")
+            fail(lineno, f"{label}: expected 'end', got: {_echo(' '.join(tokens))}")
 
         records.append(VarietyRecord(name, tuple(rays), collections))
     return AtlasDatabase(tuple(records))

@@ -49,15 +49,18 @@ class Fan:
     """An indexed ray list plus the set of maximal cones.
 
     Instances are built by :func:`build_fan` or :func:`build_fan_from_rays`
-    and treated as immutable afterwards; the faces and the 2- and
-    3-dimensional cones are precomputed so lookups are cheap. Each face is
-    held by one maximal cone (the first in sorted order), whose dual basis,
-    computed on first use, serves every functional on that face. The wall
-    table (:attr:`walls`) and one coordinate vector per wall
-    (:meth:`wall_relation`) are built on first use too; validation, curve
-    numbers and ch2 all read them. The first point-containment test
-    (:func:`containing_cones`) gathers the dual bases of all maximal cones
-    into one table.
+    and treated as immutable afterwards. One pass over the maximal cones in
+    ``__init__``, unrolled over the four rays of a cone, builds the faces,
+    the sorted 2- and 3-dimensional cones (:attr:`cones2`, :attr:`cones3`)
+    and the wall table :attr:`walls`, which maps each 3-cone ``tau`` to the
+    rays ``n``, in ascending order, with ``tau + n`` a maximal cone (two on
+    a complete fan; :func:`validate_fan` checks this). Each face is held by
+    one maximal cone (the first in sorted order), whose dual basis, computed
+    on first use, serves every functional on that face. One coordinate
+    vector per wall (:meth:`wall_relation`) is built on first use;
+    validation, curve numbers and ch2 all read them. The first
+    point-containment test (:func:`containing_cones`) gathers the dual bases
+    of all maximal cones into one table.
 
     The intersection methods raise :class:`FanError` naming the cone on a
     degenerate maximal cone, a wall outside exactly two maximal cones, or a
@@ -65,17 +68,60 @@ class Fan:
     """
 
     def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone]):
-        self.rays: tuple[LatticePoint, ...] = tuple(tuple(int(x) for x in v) for v in rays)
-        self.maxcones: tuple[Cone, ...] = tuple(sorted(_cone(mc) for mc in maxcones))
+        self.rays: tuple[LatticePoint, ...] = tuple(tuple(map(int, v)) for v in rays)
+        self.maxcones: tuple[Cone, ...] = tuple(sorted(map(_cone, maxcones)))
         self._maxset = frozenset(self.maxcones)
-        container: dict[Cone, Cone] = {}
+        # one pass over the maximal cones in sorted order: a face is held by
+        # the first cone that has it, and the wall opposite each ray n of a
+        # cone gains n, so the neighbours of a wall come in ascending order
+        faces: dict[Cone, Cone] = {(): self.maxcones[0]} if self.maxcones else {}
+        walls: dict[Cone, tuple[int, ...]] = {}
+        pairs = []
         for mc in self.maxcones:
-            for k in range(DIM + 1):
-                for face in itertools.combinations(mc, k):
-                    container.setdefault(face, mc)
-        self._container = container
-        self.cones3: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 3))
-        self.cones2: tuple[Cone, ...] = tuple(sorted(f for f in container if len(f) == 2))
+            a, b, c, d = mc
+            faces[mc] = mc
+            tau = (b, c, d)
+            la = walls.get(tau)
+            if la is None:
+                walls[tau] = (a,)
+                faces[tau] = mc
+            else:
+                walls[tau] = la + (a,)
+            tau = (a, c, d)
+            lb = walls.get(tau)
+            if lb is None:
+                walls[tau] = (b,)
+                faces[tau] = mc
+            else:
+                walls[tau] = lb + (b,)
+            tau = (a, b, d)
+            lc = walls.get(tau)
+            if lc is None:
+                walls[tau] = (c,)
+                faces[tau] = mc
+            else:
+                walls[tau] = lc + (c,)
+            tau = (a, b, c)
+            ld = walls.get(tau)
+            if ld is None:
+                walls[tau] = (d,)
+                faces[tau] = mc
+            else:
+                walls[tau] = ld + (d,)
+            # every pair and ray of the cone lies in one of its walls, so
+            # none is new unless a wall is
+            if la is None or lb is None or lc is None or ld is None:
+                for pair in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
+                    if pair not in faces:
+                        faces[pair] = mc
+                        pairs.append(pair)
+                for ray in ((a,), (b,), (c,), (d,)):
+                    if ray not in faces:
+                        faces[ray] = mc
+        self._container = faces
+        self.walls: dict[Cone, tuple[int, ...]] = walls
+        self.cones3: tuple[Cone, ...] = tuple(sorted(walls))
+        self.cones2: tuple[Cone, ...] = tuple(sorted(pairs))
         self._bases: dict[Cone, tuple] = {}
         self._relations: dict[Cone, dict] = {}
 
@@ -111,7 +157,7 @@ class Fan:
             if det == 1:
                 duals = adj
             elif det == -1:
-                duals = tuple(tuple(-x for x in row) for row in adj)
+                duals = tuple((-x0, -x1, -x2, -x3) for x0, x1, x2, x3 in adj)
             else:
                 duals = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
             entry = self._bases[mc] = (duals, det)
@@ -122,21 +168,6 @@ class Fan:
         # (mc, duals) for every maximal cone in order, built on first use,
         # never by __init__; the table behind containing_cones
         return tuple((mc, self.cone_basis(mc)[0]) for mc in self.maxcones)
-
-    @cached_property
-    def walls(self) -> dict[Cone, tuple[int, ...]]:
-        """The wall table: each 3-cone ``tau`` maps to the rays ``n``, in
-        ascending order, with ``tau + n`` a maximal cone.
-
-        Built on first use in one pass over the maximal cones; their sorted
-        order puts the rays of each entry in ascending order. On a complete
-        fan every entry has two rays; :func:`validate_fan` checks this.
-        """
-        walls: dict[Cone, tuple[int, ...]] = {}
-        for a, b, c, d in self.maxcones:
-            for tau, n in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
-                walls[tau] = walls.get(tau, ()) + (n,)
-        return walls
 
     def dual(self, w: int, cone: Cone):
         """A functional equal to 1 on ray ``w`` and 0 on the rest of ``cone``.
@@ -617,7 +648,7 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
     fan = build_fan(result, [_cone(p) for p in collections])
     report = validate_fan(fan)
     if not report.ok:
-        raise FanError("reconstructed rays are invalid: " + "; ".join(report.problems))
+        raise FanError("reconstructed rays are invalid: " + "; ".join(cap_problems(report.problems)))
     return result
 
 

@@ -1,7 +1,7 @@
 """Shared test machinery: functional perturbations, independent
 divisor-curve and ch2 oracles built on wall relations only, reference
-versions of the face-fan and non-face searches, and the errata of the
-reference table."""
+versions of the face table, the face-fan and the non-face searches, and the
+errata of the reference table."""
 
 import itertools
 from fractions import Fraction
@@ -132,6 +132,29 @@ def wall_ch2_oracle(fan, sigma):
         elif w in curves:
             total += wall_curve_oracle(fan, w, curves[w])
     return total / 2
+
+
+def face_table_by_subsets(fan):
+    """``(faces, cones2, cones3, walls)`` of ``fan``, one subset at a time.
+
+    The reference for the one-pass construction in
+    :class:`toricfano.fan.Fan`: each of the 16 subsets of every maximal
+    cone, in sorted order, maps to the first cone that has it; the 2- and
+    3-cones are sorted out of the faces; and a second pass over the cones
+    gives each wall the ray opposite it in every cone that has it.
+    """
+    faces = {}
+    for mc in fan.maxcones:
+        for k in range(5):
+            for face in itertools.combinations(mc, k):
+                faces.setdefault(face, mc)
+    cones2 = tuple(sorted(f for f in faces if len(f) == 2))
+    cones3 = tuple(sorted(f for f in faces if len(f) == 3))
+    walls = {}
+    for a, b, c, d in fan.maxcones:
+        for tau, n in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
+            walls[tau] = walls.get(tau, ()) + (n,)
+    return faces, cones2, cones3, walls
 
 
 def face_fan_by_subsets(rays):

@@ -89,6 +89,39 @@ def test_parse_rejects_truncated_record():
         parse("variety X\nrays 2\n1 0 0 0\n")
 
 
+def _parse_error(text):
+    with pytest.raises(AtlasParseError) as exc:
+        parse(text)
+    return str(exc.value)
+
+
+def test_parse_errors_quote_at_most_80_characters_of_the_input():
+    long = "x" * 50_000
+    line = f"bogus {long}"
+    assert _parse_error(line + "\n") == f"line 1: expected 'variety <name>', got: {line[:80]}..."
+    # a huge non-integer token in a ray line
+    ray = f"1 0 0 {'7' * 50_000}q"
+    assert _parse_error(f"variety X\nrays 1\n{ray}\nend\n") == f"line 3: non-integer token in ray of X: {ray[:80]}..."
+    # a long name is cut wherever the message names the record
+    assert _parse_error(f"variety {long}\nrays 0\n") == f"line 2: {long[:80]}...: ray count must be positive"
+    assert _parse_error(f"variety {long}\nvariety {long}\n") == (
+        f"line 2: {long[:80]}...: expected 'rays <d>', got: variety {long[:72]}..."
+    )
+    indices = " ".join(map(str, range(1, 20_001)))
+    text = f"variety X\nrays 1\n1 0 0 0\ncollections 1\n{indices}\nend\n"
+    assert _parse_error(text) == f"line 5: X: collection index outside 1..1: {str(tuple(range(1, 20_001)))[:80]}..."
+    huge = "9" * 4_000
+    assert _parse_error(f"variety X\nrays {huge}\nend\n") == f"line 3: X: expected {huge[:80]}... ray lines, found 0"
+
+
+def test_parse_errors_quote_short_input_whole():
+    line = "bogus " + "x" * 74  # 80 characters: not cut
+    assert _parse_error(line + "\n") == f"line 1: expected 'variety <name>', got: {line}"
+    assert _parse_error("variety X\nrays 1\n1 0 0 q\nend\n") == "line 3: non-integer token in ray of X: 1 0 0 q"
+    record = "variety X\nrays 1\n1 0 0 0\nend\n"
+    assert _parse_error(record + record) == "line 5: duplicate variety name 'X'"
+
+
 def test_render_parse_round_trip(database):
     text = render(database)
     again = parse(text)

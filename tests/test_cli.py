@@ -211,6 +211,15 @@ def test_validate_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_validate_quotes_a_long_malformed_line_in_bounded_form(tmp_path, capsys):
+    path = tmp_path / "junk.txt"
+    line = "bogus " + "y" * 50_000
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: line 1: expected 'variety <name>', got: {line[:80]}...\n"
+
+
 def test_show_prints_relations(capsys):
     code, out, _ = run(capsys, "show", "H1")
     assert code == 0

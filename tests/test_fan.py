@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_force_nonfaces, face_fan_by_subsets, wall_curve_oracle
+from helpers import brute_force_nonfaces, face_fan_by_subsets, face_table_by_subsets, wall_curve_oracle
 
 from toricfano import fan as fan_module
 from toricfano.exactlin import adjugate4, dot, solve
 from toricfano.fan import (
     Fan,
     FanError,
+    FanReport,
     build_fan,
     build_fan_from_rays,
     cap_problems,
@@ -368,6 +369,15 @@ def test_reconstruct_rays_round_trips_from_computed_relations(database, fans):
     assert lattice_equivalent(build_fan(rays, rec.collections), fan)
 
 
+def test_reconstruct_rays_caps_the_problems_it_names(monkeypatch):
+    problems = [f"problem {k}" for k in range(15)]
+    monkeypatch.setattr(fan_module, "validate_fan", lambda fan: FanReport(False, False, True, list(problems)))
+    with pytest.raises(FanError) as exc:
+        reconstruct_rays([((1, 2, 3, 4, 5), {})], 5)
+    shown = problems[:10] + ["5 more problems not shown"]
+    assert str(exc.value) == "reconstructed rays are invalid: " + "; ".join(shown)
+
+
 def test_lattice_equivalent_reflexive_and_transform_invariant(h1):
     assert lattice_equivalent(h1, h1)
     # act by an integral matrix of determinant 1
@@ -390,9 +400,11 @@ def test_minimal_nonfaces_equals_brute_force(fans):
         assert minimal_nonfaces(fan) == brute_force_nonfaces(fan), name
 
 
-def test_minimal_nonfaces_equals_brute_force_on_random_collections():
-    rng = random.Random(10)
-    unused = 0
+def _random_collection_fans(seed):
+    """80 seeded ``(collections, fan)`` pairs of 5 to 12 rays, and whether
+    some fan leaves a ray in no maximal cone."""
+    rng = random.Random(seed)
+    samples = []
     for _ in range(80):
         ray_count = rng.randint(5, 12)
         indices = range(1, ray_count + 1)
@@ -401,8 +413,14 @@ def test_minimal_nonfaces_equals_brute_force_on_random_collections():
             # a pair with every other ray leaves this ray in no maximal cone
             r = rng.choice(indices)
             collections += [tuple(sorted((r, i))) for i in indices if i != r]
-        fan = build_fan([(i, 0, 0, 0) for i in indices], collections)
-        unused += any(not fan.is_face((i,)) for i in indices)
+        samples.append((collections, build_fan([(i, 0, 0, 0) for i in indices], collections)))
+    unused = any(not fan.is_face((i,)) for _, fan in samples for i in range(1, fan.ray_count + 1))
+    return samples, unused
+
+
+def test_minimal_nonfaces_equals_brute_force_on_random_collections():
+    samples, unused = _random_collection_fans(10)
+    for collections, fan in samples:
         assert minimal_nonfaces(fan) == brute_force_nonfaces(fan), collections
     assert unused
 
@@ -585,3 +603,20 @@ def test_wall_table_matches_a_brute_force_scan(fans, p4):
     for name, fan in samples.items():
         assert fan.walls == _brute_force_walls(fan), name
     assert samples["P4 minus a cone"].walls[2, 3, 4] == (1,)
+
+
+def test_face_table_matches_the_per_subset_construction(fans, p4):
+    samples = dict(fans)
+    samples["pentagram"] = Fan(PENTAGRAM_RAYS, PENTAGRAM_CONES)
+    samples["P4 minus a cone"] = Fan(p4.rays, p4.maxcones[:-1])
+    samples["degenerate"] = build_fan(DEGENERATE_RAYS, ((1, 2, 3, 4, 5),))
+    random_fans, unused = _random_collection_fans(12)
+    assert unused
+    samples.update((f"random {k}: {collections}", fan) for k, (collections, fan) in enumerate(random_fans))
+    for name, fan in samples.items():
+        faces, cones2, cones3, walls = face_table_by_subsets(fan)
+        # the same faces, each held by the same maximal cone
+        assert fan._container == faces, name
+        assert (fan.cones2, fan.cones3) == (cones2, cones3), name
+        # the same walls and neighbours, in the same order: classify sweeps them in it
+        assert list(fan.walls.items()) == list(walls.items()), name
