@@ -18,11 +18,10 @@ its primitive collections derived from the ray geometry on load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Iterator
+from typing import Iterator, NamedTuple, NoReturn
 
 from .chern import Ch2Report, classify
 from .fan import (
@@ -50,6 +49,13 @@ MAX_RAYS = 3 * DIM
 # A parse error quotes at most this many characters of the input.
 MAX_ECHO = 80
 
+# A record name has at most this many characters, so a message that names
+# the record quotes it whole.
+MAX_NAME = 64
+
+# The words that open a section line; a ray or collection line never does.
+_KEYWORDS = frozenset(("variety", "rays", "collections", "end"))
+
 
 class AtlasParseError(ValueError):
     """Malformed atlas text; the message carries the offending line number."""
@@ -61,17 +67,20 @@ def _echo(text: str) -> str:
     return text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
 
 
-@dataclass(frozen=True)
-class VarietyRecord:
+class VarietyRecord(NamedTuple):
     name: str
     rays: tuple[LatticePoint, ...]
     collections: tuple[tuple[int, ...], ...] | None = None
     collections_derived: bool = False
 
 
-@dataclass(frozen=True)
 class AtlasDatabase:
-    records: tuple[VarietyRecord, ...]
+    """The records of an atlas, in file order."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[VarietyRecord, ...]):
+        self.records = records
 
     def __iter__(self) -> Iterator[VarietyRecord]:
         return iter(self.records)
@@ -89,107 +98,124 @@ class AtlasDatabase:
         return tuple(rec.name for rec in self.records)
 
 
-@dataclass
 class RecordReport:
-    """Outcome of the four validation checks for one record."""
+    """Outcome of the four validation checks for one record, filled in as
+    the checks run."""
 
-    name: str
-    smooth: bool = False
-    complete: bool = False
-    round_trip: bool = False
-    fano: bool = False
-    problems: list[str] = field(default_factory=list)
+    __slots__ = ("name", "smooth", "complete", "round_trip", "fano", "problems")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.smooth = self.complete = self.round_trip = self.fano = False
+        self.problems: list[str] = []
 
     @property
     def ok(self) -> bool:
         return self.smooth and self.complete and self.round_trip and self.fano
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+def _fail(lineno: int, msg: str) -> NoReturn:
+    raise AtlasParseError(f"line {lineno}: {msg}")
+
+
+def _eof(lines: list, context: str) -> NoReturn:
+    _fail(lines[-1][0] if lines else 0, f"unexpected end of input while reading {context}")
 
 
 def parse(text: str) -> AtlasDatabase:
     """Parse atlas text into a database, preserving record order.
 
     Raises :class:`AtlasParseError` with a line number for malformed
-    records, wrong arity, non-integer tokens and duplicate names. The
-    message quotes input text through :func:`_echo`, so its length is
-    bounded however long the offending line is.
+    records, wrong arity, non-integer tokens, negative counts, duplicate
+    names and names longer than :data:`MAX_NAME` characters. The message
+    quotes input text through :func:`_echo`, so its length is bounded
+    however long the offending line is.
     """
-    lines = list(_significant_lines(text))
+    # (line number, tokens) of each line with something besides a comment
+    lines = [(n, tokens) for n, raw in enumerate(text.splitlines(), 1) if (tokens := raw.split("#", 1)[0].split())]
+    end = len(lines)
     pos = 0
     records: list[VarietyRecord] = []
     names: set[str] = set()
 
-    def fail(lineno, msg):
-        raise AtlasParseError(f"line {lineno}: {msg}")
-
-    def next_line(context):
-        nonlocal pos
-        if pos >= len(lines):
-            lineno = lines[-1][0] if lines else 0
-            fail(lineno, f"unexpected end of input while reading {context}")
-        entry = lines[pos]
-        pos += 1
-        return entry
-
-    def int_tokens(lineno, tokens, context):
-        try:
-            return tuple(int(t) for t in tokens)
-        except ValueError:
-            fail(lineno, f"non-integer token in {context}: {_echo(' '.join(tokens))}")
-
-    while pos < len(lines):
-        lineno, tokens = next_line("record header")
+    while pos < end:
+        lineno, tokens = lines[pos]
         if tokens[0] != "variety" or len(tokens) != 2:
-            fail(lineno, f"expected 'variety <name>', got: {_echo(' '.join(tokens))}")
+            _fail(lineno, f"expected 'variety <name>', got: {_echo(' '.join(tokens))}")
         name = tokens[1]
+        if len(name) > MAX_NAME:
+            _fail(lineno, f"variety name longer than {MAX_NAME} characters: {name[:MAX_NAME]}...")
         if name in names:
-            fail(lineno, f"duplicate variety name {_echo(name)!r}")
+            _fail(lineno, f"duplicate variety name {name!r}")
         names.add(name)
-        label = _echo(name)
 
-        lineno, tokens = next_line(f"'rays' header of {label}")
+        if pos + 1 >= end:
+            _eof(lines, f"'rays' header of {name}")
+        lineno, tokens = lines[pos + 1]
+        pos += 2
         if tokens[0] != "rays" or len(tokens) != 2:
-            fail(lineno, f"{label}: expected 'rays <d>', got: {_echo(' '.join(tokens))}")
-        (count,) = int_tokens(lineno, tokens[1:], f"ray count of {label}")
+            _fail(lineno, f"{name}: expected 'rays <d>', got: {_echo(' '.join(tokens))}")
+        try:
+            count = int(tokens[1])
+        except ValueError:
+            _fail(lineno, f"non-integer token in ray count of {name}: {_echo(tokens[1])}")
         if count < 1:
-            fail(lineno, f"{label}: ray count must be positive")
+            _fail(lineno, f"{name}: ray count must be positive")
 
         rays = []
         for k in range(count):
-            lineno, tokens = next_line(f"ray {k + 1} of {label}")
-            if tokens[0] in ("variety", "rays", "collections", "end"):
-                fail(lineno, f"{label}: expected {_echo(str(count))} ray lines, found {k}")
+            if pos >= end:
+                _eof(lines, f"ray {k + 1} of {name}")
+            lineno, tokens = lines[pos]
+            pos += 1
+            if tokens[0] in _KEYWORDS:
+                _fail(lineno, f"{name}: expected {_echo(str(count))} ray lines, found {k}")
             if len(tokens) != 4:
-                fail(lineno, f"{label}: ray line needs 4 integers, got {len(tokens)}")
-            rays.append(int_tokens(lineno, tokens, f"ray of {label}"))
+                _fail(lineno, f"{name}: ray line needs 4 integers, got {len(tokens)}")
+            try:
+                rays.append(tuple(map(int, tokens)))
+            except ValueError:
+                _fail(lineno, f"non-integer token in ray of {name}: {_echo(' '.join(tokens))}")
 
         collections = None
-        lineno, tokens = next_line(f"'collections' or 'end' of {label}")
+        if pos >= end:
+            _eof(lines, f"'collections' or 'end' of {name}")
+        lineno, tokens = lines[pos]
+        pos += 1
         if tokens[0] == "collections":
             if len(tokens) != 2:
-                fail(lineno, f"{label}: expected 'collections <m>'")
-            (m,) = int_tokens(lineno, tokens[1:], f"collection count of {label}")
+                _fail(lineno, f"{name}: expected 'collections <m>'")
+            try:
+                m = int(tokens[1])
+            except ValueError:
+                _fail(lineno, f"non-integer token in collection count of {name}: {_echo(tokens[1])}")
+            if m < 0:
+                _fail(lineno, f"{name}: collection count must not be negative")
             colls = []
             for k in range(m):
-                lineno, tokens = next_line(f"collection {k + 1} of {label}")
-                if tokens[0] in ("variety", "rays", "collections", "end"):
-                    fail(lineno, f"{label}: expected {_echo(str(m))} collection lines, found {k}")
-                idx = int_tokens(lineno, tokens, f"collection of {label}")
+                if pos >= end:
+                    _eof(lines, f"collection {k + 1} of {name}")
+                lineno, tokens = lines[pos]
+                pos += 1
+                if tokens[0] in _KEYWORDS:
+                    _fail(lineno, f"{name}: expected {_echo(str(m))} collection lines, found {k}")
+                try:
+                    idx = tuple(map(int, tokens))
+                except ValueError:
+                    _fail(lineno, f"non-integer token in collection of {name}: {_echo(' '.join(tokens))}")
                 if list(idx) != sorted(set(idx)):
-                    fail(lineno, f"{label}: collection indices must be ascending: {_echo(str(idx))}")
-                if not all(1 <= i <= count for i in idx):
-                    fail(lineno, f"{label}: collection index outside 1..{count}: {_echo(str(idx))}")
+                    _fail(lineno, f"{name}: collection indices must be ascending: {_echo(str(idx))}")
+                # ascending, so the ends bound every index
+                if idx[0] < 1 or idx[-1] > count:
+                    _fail(lineno, f"{name}: collection index outside 1..{count}: {_echo(str(idx))}")
                 colls.append(idx)
             collections = tuple(colls)
-            lineno, tokens = next_line(f"'end' of {label}")
+            if pos >= end:
+                _eof(lines, f"'end' of {name}")
+            lineno, tokens = lines[pos]
+            pos += 1
         if tokens != ["end"]:
-            fail(lineno, f"{label}: expected 'end', got: {_echo(' '.join(tokens))}")
+            _fail(lineno, f"{name}: expected 'end', got: {_echo(' '.join(tokens))}")
 
         records.append(VarietyRecord(name, tuple(rays), collections))
     return AtlasDatabase(tuple(records))
@@ -365,7 +391,7 @@ def shipped_database() -> AtlasDatabase:
     for rec in parse(text).records:
         if rec.collections is None:
             derived = minimal_nonfaces(build_fan_from_rays(rec.rays))
-            rec = replace(rec, collections=derived, collections_derived=True)
+            rec = rec._replace(collections=derived, collections_derived=True)
         records.append(rec)
     return AtlasDatabase(tuple(records))
 

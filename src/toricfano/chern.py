@@ -31,10 +31,9 @@ surfaces settles the question for all surfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .exactlin import dot, solve
 from .fan import Cone, Fan, _cone
@@ -48,8 +47,7 @@ NOT_NEF = "not_nef"
 UFunction = Callable[[Fan, int, Cone], tuple]
 
 
-@dataclass
-class Ch2Report:
+class Ch2Report(NamedTuple):
     """Second-Chern-character values on every invariant surface of a fan."""
 
     values: dict[Cone, Fraction]

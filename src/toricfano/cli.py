@@ -10,7 +10,6 @@ mismatch, 2 parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .atlas import (
@@ -40,10 +39,16 @@ def _surface_str(cone) -> str:
     return "V(" + ",".join(str(i) for i in cone) + ")"
 
 
+def _print_json(payload) -> None:
+    # imported here: json is slow to import and TSV output does not need it
+    import json
+
+    print(json.dumps(payload, ensure_ascii=False, indent=2))
+
+
 def _print_rows(args, columns, rows) -> None:
     if args.format == "json":
-        payload = [{c: row[c] for c in columns} for row in rows]
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
+        _print_json([{c: row[c] for c in columns} for row in rows])
     else:
         print("\t".join(columns))
         for row in rows:
@@ -119,8 +124,7 @@ def cmd_ch2(args) -> int:
             return EXIT_FAIL
         value = ch2_dot_surface(fan, sigma)
         if args.format == "json":
-            row = {"variety": rec.name, "surface": _surface_str(sigma), "value": str(value)}
-            print(json.dumps(row, ensure_ascii=False, indent=2))
+            _print_json({"variety": rec.name, "surface": _surface_str(sigma), "value": str(value)})
         else:
             print(value)
         return EXIT_OK
@@ -213,12 +217,13 @@ def cmd_classify(args) -> int:
 
     columns = ["variety", "surface", "value", "classification"]
     if args.format == "json":
-        payload = {
-            "rows": [{c: row[c] for c in columns} for row in rows],
-            "two_fano_count": len(two_fano),
-            "two_fano": two_fano,
-        }
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
+        _print_json(
+            {
+                "rows": [{c: row[c] for c in columns} for row in rows],
+                "two_fano_count": len(two_fano),
+                "two_fano": two_fano,
+            }
+        )
     else:
         _print_rows(args, columns, rows)
         names = (": " + " ".join(two_fano)) if two_fano else ""

@@ -21,10 +21,9 @@ positive degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactlin import adjugate4, dot, solve
 
@@ -239,8 +238,7 @@ class Fan:
         return f"Fan({self.ray_count} rays, {len(self.maxcones)} maximal cones)"
 
 
-@dataclass
-class PrimitiveRelation:
+class PrimitiveRelation(NamedTuple):
     """The unique positive expression of ``sum(collection)`` over a cone.
 
     ``coeffs`` maps generator index to its positive integer coefficient; the
@@ -262,14 +260,13 @@ class PrimitiveRelation:
         return f"{{{members}}}: {lhs} = {rhs or '0'}  degree {self.degree}"
 
 
-@dataclass
-class FanReport:
+class FanReport(NamedTuple):
     """Validation outcome, with one message per failed condition."""
 
     smooth: bool
     complete: bool
     simplicial_ok: bool
-    problems: list[str] = field(default_factory=list)
+    problems: list[str]
 
     @property
     def ok(self) -> bool:

@@ -102,16 +102,38 @@ def test_parse_errors_quote_at_most_80_characters_of_the_input():
     # a huge non-integer token in a ray line
     ray = f"1 0 0 {'7' * 50_000}q"
     assert _parse_error(f"variety X\nrays 1\n{ray}\nend\n") == f"line 3: non-integer token in ray of X: {ray[:80]}..."
-    # a long name is cut wherever the message names the record
-    assert _parse_error(f"variety {long}\nrays 0\n") == f"line 2: {long[:80]}...: ray count must be positive"
+    # a long name is rejected at its own line, quoting only a prefix
+    assert _parse_error(f"variety {long}\nrays 0\n") == f"line 1: variety name longer than 64 characters: {long[:64]}..."
     assert _parse_error(f"variety {long}\nvariety {long}\n") == (
-        f"line 2: {long[:80]}...: expected 'rays <d>', got: variety {long[:72]}..."
+        f"line 1: variety name longer than 64 characters: {long[:64]}..."
     )
     indices = " ".join(map(str, range(1, 20_001)))
     text = f"variety X\nrays 1\n1 0 0 0\ncollections 1\n{indices}\nend\n"
     assert _parse_error(text) == f"line 5: X: collection index outside 1..1: {str(tuple(range(1, 20_001)))[:80]}..."
     huge = "9" * 4_000
     assert _parse_error(f"variety X\nrays {huge}\nend\n") == f"line 3: X: expected {huge[:80]}... ray lines, found 0"
+
+
+def test_parse_caps_the_name_length():
+    from toricfano.atlas import MAX_NAME
+
+    record = "rays 1\n1 0 0 0\nend\n"
+    name = "n" * MAX_NAME
+    assert parse(f"variety {name}\n{record}").names() == (name,)
+    message = _parse_error(f"variety {name}x\n{record}")
+    assert message == f"line 1: variety name longer than {MAX_NAME} characters: {name}..."
+    # a long line after a valid name is still cut
+    long = "x" * 50_000
+    assert _parse_error(f"variety X\nvariety {long}\n") == (
+        f"line 2: X: expected 'rays <d>', got: variety {long[:72]}..."
+    )
+
+
+def test_parse_rejects_negative_collection_count():
+    text = "variety X\nrays 1\n1 0 0 0\ncollections -3\nend\n"
+    assert _parse_error(text) == "line 4: X: collection count must not be negative"
+    # an empty section is still accepted
+    assert parse(text.replace("-3", "0")).lookup("X").collections == ()
 
 
 def test_parse_errors_quote_short_input_whole():
@@ -177,20 +199,16 @@ def test_validate_record_passes_shipped_samples(database):
 
 
 def test_validate_record_catches_missing_collection(database):
-    from dataclasses import replace
-
     h1 = database.lookup("H1")
     colls = tuple(c for c in h1.collections if c != (3, 4, 5))
-    report = validate_record(replace(h1, collections=colls))
+    report = validate_record(h1._replace(collections=colls))
     assert not report.ok
     assert not report.round_trip
 
 
 def test_validate_record_catches_redundant_collection(database):
-    from dataclasses import replace
-
     h1 = database.lookup("H1")
-    report = validate_record(replace(h1, collections=h1.collections + ((1, 2, 8),)))
+    report = validate_record(h1._replace(collections=h1.collections + ((1, 2, 8),)))
     # the fan itself is unchanged, only the declaration fails to round-trip
     assert report.smooth and report.complete and report.fano
     assert not report.round_trip
@@ -198,39 +216,33 @@ def test_validate_record_catches_redundant_collection(database):
 
 
 def test_validate_record_catches_non_unimodular_cone(database):
-    from dataclasses import replace
-
     p4 = database.lookup("P4")
     rays = p4.rays[:4] + ((-2, -1, -1, -1),)
-    report = validate_record(replace(p4, rays=rays))
+    report = validate_record(p4._replace(rays=rays))
     assert not report.smooth
     assert not report.ok
 
 
 def test_validate_record_catches_malformed_rays(database):
-    from dataclasses import replace
-
     p4 = database.lookup("P4")
-    report = validate_record(replace(p4, rays=p4.rays[:4] + ((-2, -2, -2, -2),)))
+    report = validate_record(p4._replace(rays=p4.rays[:4] + ((-2, -2, -2, -2),)))
     assert not report.ok
     assert any("not primitive" in p for p in report.problems)
 
-    report = validate_record(replace(p4, rays=p4.rays[:4] + (p4.rays[0],)))
+    report = validate_record(p4._replace(rays=p4.rays[:4] + (p4.rays[0],)))
     assert not report.ok
     assert any("coincide" in p for p in report.problems)
 
-    report = validate_record(replace(p4, rays=p4.rays[:4] + ((0, 0, 0, 0),)))
+    report = validate_record(p4._replace(rays=p4.rays[:4] + ((0, 0, 0, 0),)))
     assert not report.ok
     assert any("zero" in p for p in report.problems)
 
 
 def test_validate_record_catches_unused_ray(database):
-    from dataclasses import replace
-
     p4 = database.lookup("P4")
     rays = p4.rays + ((1, 1, 0, 0),)
     colls = ((1, 2, 3, 4, 5), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6))
-    report = validate_record(replace(p4, rays=rays, collections=colls))
+    report = validate_record(p4._replace(rays=rays, collections=colls))
     assert not report.ok
     assert any("no maximal cone" in p for p in report.problems)
 

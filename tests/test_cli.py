@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -169,7 +168,7 @@ def test_paper_table_detects_corrupted_ray(tmp_path, capsys):
     records = []
     for rec in db:
         if rec.name == "E1":
-            rec = replace(rec, rays=db.lookup("E2").rays)
+            rec = rec._replace(rays=db.lookup("E2").rays)
         records.append(rec)
     from toricfano.atlas import AtlasDatabase
 
@@ -191,7 +190,7 @@ def test_validate_shipped_default(capsys):
 
 def test_validate_flags_bad_records(tmp_path, capsys):
     h1 = shipped_database().lookup("H1")
-    bad = replace(h1, name="H1x", collections=h1.collections + ((1, 2, 8),))
+    bad = h1._replace(name="H1x", collections=h1.collections + ((1, 2, 8),))
     from toricfano.atlas import AtlasDatabase
 
     path = tmp_path / "wrong.txt"
@@ -220,6 +219,17 @@ def test_validate_quotes_a_long_malformed_line_in_bounded_form(tmp_path, capsys)
     assert err == f"parse error: line 1: expected 'variety <name>', got: {line[:80]}...\n"
 
 
+def test_validate_rejects_a_long_name_in_bounded_form(tmp_path, capsys):
+    from toricfano.atlas import MAX_NAME
+
+    path = tmp_path / "long-name.txt"
+    name = "z" * 50_000
+    path.write_text(f"variety {name}\nrays 1\n1 0 0 0\nend\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: line 1: variety name longer than {MAX_NAME} characters: {name[:MAX_NAME]}...\n"
+
+
 def test_show_prints_relations(capsys):
     code, out, _ = run(capsys, "show", "H1")
     assert code == 0
@@ -232,8 +242,8 @@ def test_show_prints_relations(capsys):
 def test_show_derives_the_relations_of_a_record_without_collections(tmp_path, capsys):
     from toricfano.atlas import AtlasDatabase
 
-    p4 = replace(shipped_database().lookup("P4"), collections=None)
-    cone = replace(p4, name="C", rays=p4.rays[:4] + ((1, 1, 1, 1),))
+    p4 = shipped_database().lookup("P4")._replace(collections=None)
+    cone = p4._replace(name="C", rays=p4.rays[:4] + ((1, 1, 1, 1),))
     path = tmp_path / "no-collections.txt"
     path.write_text(render(AtlasDatabase((p4, cone))))
     code, out, err = run(capsys, "--db", str(path), "show", "P4")
@@ -350,7 +360,7 @@ def test_show_prints_no_relations_for_a_ray_swap_with_cones_on_one_side_of_a_wal
     rays = list(h1.rays)
     rays[0], rays[6] = rays[6], rays[0]
     path = tmp_path / "swap.txt"
-    path.write_text(render(AtlasDatabase((replace(h1, name="H1s", rays=tuple(rays)),))))
+    path.write_text(render(AtlasDatabase((h1._replace(name="H1s", rays=tuple(rays)),))))
     code, out, err = run(capsys, "--db", str(path), "show", "H1s")
     assert (code, err) == (0, "")
     assert out.splitlines()[9:] == [
@@ -406,7 +416,7 @@ def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
 
 def test_validate_reads_the_db_file(tmp_path, capsys):
     p4 = shipped_database().lookup("P4")
-    bad = replace(p4, name="P4x", rays=p4.rays[:4] + ((-2, -1, -1, -1),))
+    bad = p4._replace(name="P4x", rays=p4.rays[:4] + ((-2, -1, -1, -1),))
     from toricfano.atlas import AtlasDatabase
 
     path = tmp_path / "bad.txt"
@@ -443,7 +453,7 @@ def test_validate_names_a_wall_with_both_cones_on_one_side(tmp_path, capsys):
     from toricfano.atlas import AtlasDatabase
 
     path = tmp_path / "swapped.txt"
-    path.write_text(render(AtlasDatabase((replace(e3, name="E3s", rays=tuple(rays)),))))
+    path.write_text(render(AtlasDatabase((e3._replace(name="E3s", rays=tuple(rays)),))))
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1
     assert out.splitlines()[1] == "E3s\ttrue\tfalse\tfalse\tfalse\tfalse"
