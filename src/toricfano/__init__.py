@@ -32,6 +32,7 @@ from .chern import (
 from .fan import (
     Fan,
     FanError,
+    FanTables,
     PrimitiveRelation,
     build_fan,
     build_fan_from_rays,

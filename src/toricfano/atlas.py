@@ -18,9 +18,9 @@ its primitive collections derived from the ray geometry on load.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from importlib import resources
 from typing import Iterator, NamedTuple, NoReturn
 
 from .chern import Ch2Report, classify
@@ -30,6 +30,7 @@ from .fan import (
     Cone,
     Fan,
     FanError,
+    FanTables,
     PrimitiveRelation,
     build_fan,
     build_fan_from_rays,
@@ -55,6 +56,10 @@ MAX_NAME = 64
 
 # The words that open a section line; a ray or collection line never does.
 _KEYWORDS = frozenset(("variety", "rays", "collections", "end"))
+
+# The characters of plain decimal integers. int() also takes a "+" sign,
+# "_" between digits and non-ASCII digits, which the format does not.
+_DECIMAL = "-0123456789"
 
 
 class AtlasParseError(ValueError):
@@ -122,6 +127,13 @@ def _eof(lines: list, context: str) -> NoReturn:
     _fail(lines[-1][0] if lines else 0, f"unexpected end of input while reading {context}")
 
 
+def _plain(tokens: list[str]) -> bool:
+    """Whether the tokens hold nothing but "-" and ASCII digits."""
+    # stripping those characters off both ends leaves the rest from the
+    # first other character on, if there is one
+    return not "".join(tokens).strip(_DECIMAL)
+
+
 def parse(text: str) -> AtlasDatabase:
     """Parse atlas text into a database, preserving record order.
 
@@ -130,9 +142,31 @@ def parse(text: str) -> AtlasDatabase:
     names and names longer than :data:`MAX_NAME` characters. The message
     quotes input text through :func:`_echo`, so its length is bounded
     however long the offending line is.
+
+    Every integer is a plain decimal: an optional "-", then ASCII digits.
+    ``int`` alone also reads "+1", "1_0" and non-ASCII digits. The first
+    reading uses ``int`` alone; keywords hold none of "+", "_" and non-ASCII
+    characters, so when the names hold every one of them that the text
+    holds, every integer token was plain. Otherwise (such a character in a
+    number or a comment), or when the first reading fails, a second reading
+    tests every integer token and reports the first fault.
     """
     # (line number, tokens) of each line with something besides a comment
     lines = [(n, tokens) for n, raw in enumerate(text.splitlines(), 1) if (tokens := raw.split("#", 1)[0].split())]
+    try:
+        records = _read(lines, strict=False)
+        names = "".join(rec.name for rec in records)
+        plain = text.isascii() and text.count("_") == names.count("_") and text.count("+") == names.count("+")
+    except AtlasParseError:
+        plain = False
+    if not plain:
+        records = _read(lines, strict=True)
+    return AtlasDatabase(tuple(records))
+
+
+def _read(lines: list[tuple[int, list[str]]], strict: bool) -> list[VarietyRecord]:
+    """The records of the significant ``lines`` of an atlas, see :func:`parse`;
+    ``strict`` tests that every integer token is plain before reading it."""
     end = len(lines)
     pos = 0
     records: list[VarietyRecord] = []
@@ -156,6 +190,8 @@ def parse(text: str) -> AtlasDatabase:
         if tokens[0] != "rays" or len(tokens) != 2:
             _fail(lineno, f"{name}: expected 'rays <d>', got: {_echo(' '.join(tokens))}")
         try:
+            if strict and not _plain(tokens[1:]):
+                raise ValueError
             count = int(tokens[1])
         except ValueError:
             _fail(lineno, f"non-integer token in ray count of {name}: {_echo(tokens[1])}")
@@ -163,19 +199,21 @@ def parse(text: str) -> AtlasDatabase:
             _fail(lineno, f"{name}: ray count must be positive")
 
         rays = []
-        for k in range(count):
-            if pos >= end:
-                _eof(lines, f"ray {k + 1} of {name}")
-            lineno, tokens = lines[pos]
-            pos += 1
+        block = lines[pos : pos + count]
+        pos += len(block)
+        for k, (lineno, tokens) in enumerate(block):
             if tokens[0] in _KEYWORDS:
                 _fail(lineno, f"{name}: expected {_echo(str(count))} ray lines, found {k}")
             if len(tokens) != 4:
                 _fail(lineno, f"{name}: ray line needs 4 integers, got {len(tokens)}")
             try:
+                if strict and not _plain(tokens):
+                    raise ValueError
                 rays.append(tuple(map(int, tokens)))
             except ValueError:
                 _fail(lineno, f"non-integer token in ray of {name}: {_echo(' '.join(tokens))}")
+        if len(block) < count:
+            _eof(lines, f"ray {len(block) + 1} of {name}")
 
         collections = None
         if pos >= end:
@@ -186,20 +224,22 @@ def parse(text: str) -> AtlasDatabase:
             if len(tokens) != 2:
                 _fail(lineno, f"{name}: expected 'collections <m>'")
             try:
+                if strict and not _plain(tokens[1:]):
+                    raise ValueError
                 m = int(tokens[1])
             except ValueError:
                 _fail(lineno, f"non-integer token in collection count of {name}: {_echo(tokens[1])}")
             if m < 0:
                 _fail(lineno, f"{name}: collection count must not be negative")
             colls = []
-            for k in range(m):
-                if pos >= end:
-                    _eof(lines, f"collection {k + 1} of {name}")
-                lineno, tokens = lines[pos]
-                pos += 1
+            block = lines[pos : pos + m]
+            pos += len(block)
+            for k, (lineno, tokens) in enumerate(block):
                 if tokens[0] in _KEYWORDS:
                     _fail(lineno, f"{name}: expected {_echo(str(m))} collection lines, found {k}")
                 try:
+                    if strict and not _plain(tokens):
+                        raise ValueError
                     idx = tuple(map(int, tokens))
                 except ValueError:
                     _fail(lineno, f"non-integer token in collection of {name}: {_echo(' '.join(tokens))}")
@@ -209,6 +249,8 @@ def parse(text: str) -> AtlasDatabase:
                 if idx[0] < 1 or idx[-1] > count:
                     _fail(lineno, f"{name}: collection index outside 1..{count}: {_echo(str(idx))}")
                 colls.append(idx)
+            if len(block) < m:
+                _eof(lines, f"collection {len(block) + 1} of {name}")
             collections = tuple(colls)
             if pos >= end:
                 _eof(lines, f"'end' of {name}")
@@ -218,7 +260,7 @@ def parse(text: str) -> AtlasDatabase:
             _fail(lineno, f"{name}: expected 'end', got: {_echo(' '.join(tokens))}")
 
         records.append(VarietyRecord(name, tuple(rays), collections))
-    return AtlasDatabase(tuple(records))
+    return records
 
 
 def render(db: AtlasDatabase) -> str:
@@ -243,10 +285,21 @@ class VarietyAnalysis:
     ``toricfano show`` and the ch2 report all read them. ``fan`` raises
     :class:`FanError` when the record does not describe a fan, ``report``
     never raises.
+
+    The combinatorial tables of a fan built from collections
+    (:class:`~toricfano.fan.FanTables`: maximal cones, faces, walls, 2- and
+    3-cones, minimal non-faces) depend only on the ray count and the
+    collections. ``tables``, when given, are those of an earlier record with
+    the same ray count and collections, and the fan is built on them instead
+    of from the collections; once a fan is built from collections,
+    ``tables`` holds its tables. The rays are never shared: bases, wall relations, the overlap
+    check, primitive relations and ch2 are computed for every record. A
+    record without collections takes the face-fan path and shares nothing.
     """
 
-    def __init__(self, record: VarietyRecord):
+    def __init__(self, record: VarietyRecord, tables: FanTables | None = None):
         self.record = record
+        self.tables = tables
         self._relations: dict[Cone, PrimitiveRelation] = {}
 
     @cached_property
@@ -259,7 +312,11 @@ class VarietyAnalysis:
             )
         if rec.collections is None:
             return build_fan_from_rays(rec.rays)
-        return build_fan(rec.rays, rec.collections)
+        if self.tables is not None:
+            return Fan(rec.rays, tables=self.tables)
+        fan = build_fan(rec.rays, rec.collections)
+        self.tables = fan.tables
+        return fan
 
     @cached_property
     def nonfaces(self) -> tuple[Cone, ...]:
@@ -340,13 +397,23 @@ def analyse(rec: VarietyRecord) -> VarietyAnalysis:
     """The analysis of ``rec``.
 
     Only the most recent analysis is kept, so a caller that validates a
-    record and then asks for its fan builds the fan once, while a pass over
-    a whole atlas holds one fan at a time.
+    record and then asks for its fan builds the fan once. A new analysis
+    takes over the fan tables of the one it replaces when the two records
+    have equal ray counts and equal collections, so the records of one
+    combinatorial type that follow each other in an atlas build their
+    tables once. A pass over an atlas therefore holds at most one fan and
+    one set of tables.
     """
     global _last_analysis
-    analysis = _last_analysis
-    if analysis is None or analysis.record is not rec:
-        analysis = _last_analysis = VarietyAnalysis(rec)
+    previous = _last_analysis
+    if previous is not None and previous.record is rec:
+        return previous
+    tables = None
+    if previous is not None and previous.tables is not None:
+        prior = previous.record
+        if rec.collections == prior.collections and len(rec.rays) == len(prior.rays):
+            tables = previous.tables
+    analysis = _last_analysis = VarietyAnalysis(rec, tables)
     return analysis
 
 
@@ -383,10 +450,17 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
     return analyse(rec).report
 
 
+# The bundled atlas, package data next to this module. Opened directly,
+# since importlib.resources imports inspect, pathlib and tempfile on
+# CPython 3.12 and later.
+SHIPPED_PATH = os.path.join(os.path.dirname(__file__), "data", "varieties.txt")
+
+
 @lru_cache(maxsize=1)
 def shipped_database() -> AtlasDatabase:
     """The bundled 67-variety database, with M5's collections derived."""
-    text = resources.files("toricfano").joinpath("data/varieties.txt").read_text("utf-8")
+    with open(SHIPPED_PATH, encoding="utf-8") as f:
+        text = f.read()
     records = []
     for rec in parse(text).records:
         if rec.collections is None:

@@ -5,9 +5,9 @@ Everything here is plain Python arithmetic over ``int`` and
 is stored in lowest terms with a positive denominator, and there is no
 rounding anywhere. Vectors are tuples, matrices are sequences of row tuples.
 
-Square 4x4 integer systems are handled in integers only: :func:`det4` and
-:func:`adjugate4` give the determinant and the adjugate, whose rows divided
-by the determinant form the dual basis (integral on a unimodular matrix).
+Square 4x4 integer systems are handled in integers only: :func:`adjugate4`
+gives the adjugate and the determinant, and the adjugate rows divided by the
+determinant form the dual basis (integral on a unimodular matrix).
 The rational row reduction behind :func:`solve` and :func:`nullspace` serves
 the general, possibly singular or non-square systems, which never have more
 than four columns here.
@@ -28,34 +28,6 @@ def dot(a: Sequence, b: Sequence):
     if len(a) != len(b):
         raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
     return sum(map(mul, a, b))
-
-
-def _det3(a, b, c) -> int:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-
-
-def _drop(row, j):
-    return tuple(row[:j]) + tuple(row[j + 1 :])
-
-
-def det4(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a 4x4 integer matrix given as four rows.
-
-    Cofactor expansion along the first row; all intermediate values stay
-    integral, so the result is exact for arbitrarily large entries.
-    """
-    r0, r1, r2, r3 = rows
-    total = 0
-    sign = 1
-    for j in range(4):
-        if r0[j] != 0:
-            total += sign * r0[j] * _det3(_drop(r1, j), _drop(r2, j), _drop(r3, j))
-        sign = -sign
-    return total
 
 
 def adjugate4(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -44,32 +44,28 @@ def _cone(indices: Iterable[int]) -> Cone:
     return tuple(sorted(indices))
 
 
-class Fan:
-    """An indexed ray list plus the set of maximal cones.
+class FanTables:
+    """The combinatorial tables of a simplicial fan, which depend on its
+    maximal cones alone, never on its rays.
 
-    Instances are built by :func:`build_fan` or :func:`build_fan_from_rays`
-    and treated as immutable afterwards. One pass over the maximal cones in
-    ``__init__``, unrolled over the four rays of a cone, builds the faces,
-    the sorted 2- and 3-dimensional cones (:attr:`cones2`, :attr:`cones3`)
-    and the wall table :attr:`walls`, which maps each 3-cone ``tau`` to the
-    rays ``n``, in ascending order, with ``tau + n`` a maximal cone (two on
-    a complete fan; :func:`validate_fan` checks this). Each face is held by
-    one maximal cone (the first in sorted order), whose dual basis, computed
-    on first use, serves every functional on that face. One coordinate
-    vector per wall (:meth:`wall_relation`) is built on first use;
-    validation, curve numbers and ch2 all read them. The first
-    point-containment test (:func:`containing_cones`) gathers the dual bases
-    of all maximal cones into one table.
-
-    The intersection methods raise :class:`FanError` naming the cone on a
-    degenerate maximal cone, a wall outside exactly two maximal cones, or a
-    cone that is not a face; :func:`validate_fan` reports these instead.
+    One pass over the maximal cones in sorted order, unrolled over the four
+    rays of a cone, builds the faces, the sorted 2- and 3-dimensional cones
+    :attr:`cones2` and :attr:`cones3`, and the wall table :attr:`walls`,
+    which maps each 3-cone ``tau`` to the rays ``n``, in ascending order,
+    with ``tau + n`` a maximal cone (two on a complete fan;
+    :func:`validate_fan` checks this). ``faces`` maps each face to the
+    maximal cone that holds it, the first in sorted order that has it. The
+    minimal non-faces are filled in by :func:`minimal_nonfaces` on first
+    use. Fans with the same maximal cones can share one instance, and a fan
+    built from primitive collections has the same maximal cones as any other
+    with the same ray count and collections. Treated as immutable.
     """
 
-    def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone]):
-        self.rays: tuple[LatticePoint, ...] = tuple(tuple(map(int, v)) for v in rays)
+    __slots__ = ("maxcones", "maxset", "faces", "walls", "cones2", "cones3", "nonfaces")
+
+    def __init__(self, maxcones: Iterable[Cone]):
         self.maxcones: tuple[Cone, ...] = tuple(sorted(map(_cone, maxcones)))
-        self._maxset = frozenset(self.maxcones)
+        self.maxset = frozenset(self.maxcones)
         # one pass over the maximal cones in sorted order: a face is held by
         # the first cone that has it, and the wall opposite each ray n of a
         # cone gains n, so the neighbours of a wall come in ascending order
@@ -117,10 +113,52 @@ class Fan:
                 for ray in ((a,), (b,), (c,), (d,)):
                     if ray not in faces:
                         faces[ray] = mc
-        self._container = faces
+        self.faces = faces
         self.walls: dict[Cone, tuple[int, ...]] = walls
         self.cones3: tuple[Cone, ...] = tuple(sorted(walls))
         self.cones2: tuple[Cone, ...] = tuple(sorted(pairs))
+        self.nonfaces: tuple[Cone, ...] | None = None
+
+
+class Fan:
+    """An indexed ray list plus the set of maximal cones.
+
+    Instances are built by :func:`build_fan` or :func:`build_fan_from_rays`
+    and treated as immutable afterwards. The combinatorial tables
+    (:class:`FanTables`: faces, :attr:`cones2`, :attr:`cones3`, the wall
+    table :attr:`walls` and the minimal non-faces) are built from the
+    maximal cones, or shared with another fan that has the same maximal
+    cones: ``Fan(rays, tables=other.tables)``. The fans that
+    :func:`build_fan` makes from equal ray counts and equal collections have
+    equal maximal cones, so :func:`toricfano.atlas.analyse` shares tables
+    between such records and holds at most one fan and one table set.
+    Everything that reads the rays stays with the fan and is never shared.
+    Each face is held by one maximal cone, whose dual basis, computed on
+    first use, serves every functional on that face. One coordinate vector
+    per wall (:meth:`wall_relation`) is built on first use; validation,
+    curve numbers and ch2 all read them. The first point-containment test
+    (:func:`containing_cones`) gathers the dual bases of all maximal cones
+    into one table.
+
+    The intersection methods raise :class:`FanError` naming the cone on a
+    degenerate maximal cone, a wall outside exactly two maximal cones, or a
+    cone that is not a face; :func:`validate_fan` reports these instead.
+    """
+
+    def __init__(
+        self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone] = (), *, tables: FanTables | None = None
+    ):
+        self.rays: tuple[LatticePoint, ...] = tuple(tuple(map(int, v)) for v in rays)
+        if tables is None:
+            tables = FanTables(maxcones)
+        self.tables = tables
+        # the tables' fields as plain attributes, read on every hot path
+        self.maxcones = tables.maxcones
+        self._maxset = tables.maxset
+        self._container = tables.faces
+        self.walls = tables.walls
+        self.cones3 = tables.cones3
+        self.cones2 = tables.cones2
         self._bases: dict[Cone, tuple] = {}
         self._relations: dict[Cone, dict] = {}
 
@@ -405,8 +443,13 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
     rays adjacent to all its members (a bitmask of neighbours per ray, from
     :attr:`Fan.cones2`), and a ray only by rays in some cone that are not
     adjacent to it. The facets left to probe are those larger than an edge.
+    The result depends on the maximal cones alone, so it is computed once
+    per :class:`FanTables` and shared by the fans that share them.
     """
-    faces = fan._container
+    tables = fan.tables
+    if tables.nonfaces is not None:
+        return tables.nonfaces
+    faces = tables.faces
     adjacent = [0] * (fan.ray_count + 1)
     for i, j in fan.cones2:
         adjacent[i] |= 1 << j
@@ -439,7 +482,8 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
                 ):
                     found.append(sub)
             mask >>= 1
-    return tuple(sorted(found, key=lambda c: (len(c), c)))
+    tables.nonfaces = tuple(sorted(found, key=lambda c: (len(c), c)))
+    return tables.nonfaces
 
 
 def containing_cones(fan: Fan, point: Sequence[int]) -> Iterator[tuple[Cone, tuple]]:

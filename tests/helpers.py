@@ -1,7 +1,7 @@
 """Shared test machinery: functional perturbations, independent
 divisor-curve and ch2 oracles built on wall relations only, reference
-versions of the face table, the face-fan and the non-face searches, and the
-errata of the reference table."""
+versions of the face table, the face-fan and the non-face searches, a
+cofactor 4x4 determinant, and the errata of the reference table."""
 
 import itertools
 from fractions import Fraction
@@ -10,6 +10,36 @@ from typing import NamedTuple
 from toricfano.chern import dual_functional
 from toricfano.exactlin import adjugate4, dot, nullspace, solve
 from toricfano.fan import Fan
+
+
+def _det3(a, b, c) -> int:
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def _drop(row, j):
+    return tuple(row[:j]) + tuple(row[j + 1 :])
+
+
+def det4(rows) -> int:
+    """Determinant of a 4x4 integer matrix given as four rows.
+
+    Cofactor expansion along the first row; all intermediate values stay
+    integral, so the result is exact for arbitrarily large entries. The
+    reference for the determinant that :func:`toricfano.exactlin.adjugate4`
+    returns.
+    """
+    r0, r1, r2, r3 = rows
+    total = 0
+    sign = 1
+    for j in range(4):
+        if r0[j] != 0:
+            total += sign * r0[j] * _det3(_drop(r1, j), _drop(r2, j), _drop(r3, j))
+        sign = -sign
+    return total
 
 
 def perturbed_functional(fan, w, cone, rng):

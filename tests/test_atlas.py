@@ -66,6 +66,53 @@ def test_parse_rejects_non_integer_tokens():
         parse(text)
 
 
+def _integer_contexts(literal):
+    """Atlas texts that put ``literal(n)``, a spelling of the integer n, in
+    each integer context, with the parse error each must give."""
+    rays = "1 0 0 0\n0 1 0 0\n"
+    one, two = literal(1), literal(2)
+    return [
+        (f"variety X\nrays {one}\n1 0 0 0\nend\n", f"line 2: non-integer token in ray count of X: {one}"),
+        (f"variety X\nrays 1\n1 0 0 {one}\nend\n", f"line 3: non-integer token in ray of X: 1 0 0 {one}"),
+        (
+            f"variety X\nrays 2\n{rays}collections {one}\n1 2\nend\n",
+            f"line 5: non-integer token in collection count of X: {one}",
+        ),
+        (
+            f"variety X\nrays 2\n{rays}collections 1\n1 {two}\nend\n",
+            f"line 6: non-integer token in collection of X: 1 {two}",
+        ),
+    ]
+
+
+def test_parse_rejects_a_plus_sign():
+    for text, message in _integer_contexts(lambda n: f"+{n}"):
+        assert _parse_error(text) == message
+
+
+def test_parse_rejects_underscores_in_integers():
+    for text, message in _integer_contexts(lambda n: f"0_{n}"):
+        assert _parse_error(text) == message
+    # read as ten rays, "rays 1_0" used to end in an end-of-input error
+    assert _parse_error("variety X\nrays 1_0\n") == "line 2: non-integer token in ray count of X: 1_0"
+
+
+def test_parse_rejects_non_ascii_digits():
+    # ARABIC-INDIC DIGIT n, which int() reads as n
+    for text, message in _integer_contexts(lambda n: chr(0x660 + n)):
+        assert _parse_error(text) == message
+    assert _parse_error("variety X\nrays 1\n0 0 0 ٣\nend\n") == "line 3: non-integer token in ray of X: 0 0 0 ٣"
+
+
+def test_parse_keeps_negative_integers_and_free_form_names():
+    text = "# comment with + and _ and ٣\nvariety a_b+ç\nrays 2\n-1 0 0 0\n0 -10 0 0\ncollections 1\n1 2\nend\n"
+    (rec,) = parse(text)
+    assert rec.name == "a_b+ç"
+    assert rec.rays == ((-1, 0, 0, 0), (0, -10, 0, 0))
+    assert rec.collections == ((1, 2),)
+    assert parse("variety x_1\nrays 1\n0 0 0 -1\nend\n").lookup("x_1").rays == ((0, 0, 0, -1),)
+
+
 def test_parse_rejects_duplicate_names():
     record = "variety X\nrays 1\n1 0 0 0\nend\n"
     with pytest.raises(AtlasParseError, match="duplicate variety name"):
@@ -277,6 +324,83 @@ def test_validate_then_record_fan_builds_one_fan(monkeypatch, database):
     assert len(built) == 1 and fan.rays == h1.rays
     atlas.record_fan(p4)
     assert len(built) == 2
+
+
+def _flags(report):
+    return report.smooth, report.complete, report.round_trip, report.fano, report.problems
+
+
+def test_fans_on_shared_tables_equal_fresh_fans(monkeypatch, database):
+    from toricfano import atlas
+    from toricfano.fan import minimal_nonfaces
+
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    tables = {}  # holding each table set keeps its id unique
+    for rec in database:
+        shared = atlas.record_fan(rec)
+        tables[id(shared.tables)] = shared.tables
+        fresh = build_fan(rec.rays, rec.collections)
+        assert shared is not fresh and shared.rays == fresh.rays
+        assert shared.maxcones == fresh.maxcones, rec.name
+        assert shared._container == fresh._container, rec.name
+        assert list(shared.walls.items()) == list(fresh.walls.items()), rec.name
+        assert (shared.cones2, shared.cones3) == (fresh.cones2, fresh.cones3), rec.name
+        assert minimal_nonfaces(shared) == minimal_nonfaces(fresh), rec.name
+        for mc in fresh.maxcones:
+            assert shared.cone_basis(mc) == fresh.cone_basis(mc), (rec.name, mc)
+        for tau in fresh.cones3:
+            assert shared.wall_relation(tau) == fresh.wall_relation(tau), (rec.name, tau)
+    # one table set per (ray count, collections), and each type is one run of the file
+    assert len(tables) == len({(len(rec.rays), rec.collections) for rec in database}) == 17
+
+
+def _degenerate(rec):
+    """``rec`` with one ray replaced by the sum of two others of a maximal
+    cone, primitive and new, so that cone is degenerate."""
+    rays = list(rec.rays)
+    for mc in build_fan(rec.rays, rec.collections).maxcones:
+        i, j, k = mc[:3]
+        ray = tuple(a + b for a, b in zip(rays[j - 1], rays[k - 1]))
+        if ray not in rays:
+            rays[i - 1] = ray
+            return rec._replace(name=rec.name + "_degenerate", rays=tuple(rays))
+    raise AssertionError(f"no degenerate variant of {rec.name}")
+
+
+def test_shared_tables_leave_every_ray_check_in_place(monkeypatch, database):
+    from toricfano import atlas
+    from toricfano.atlas import VarietyAnalysis
+
+    g1, g2 = database.lookup("G1"), database.lookup("G2")
+    assert (len(g1.rays), g1.collections) == (len(g2.rays), g2.collections)
+    bad = _degenerate(g1)
+    zero = g1._replace(name="G1_zero", rays=((0, 0, 0, 0),) + g1.rays[1:])
+    swapped = g2._replace(name="G2_swapped", rays=(g2.rays[1], g2.rays[0]) + g2.rays[2:])
+    for order in ((bad, g2), (g2, bad), (g1, zero, g2), (swapped, g1, bad, g2, swapped)):
+        monkeypatch.setattr(atlas, "_last_analysis", None)
+        previous = None
+        for rec in order:
+            analysis = atlas.analyse(rec)
+            if previous is not None and previous.tables is not None:
+                assert analysis.tables is previous.tables
+            assert _flags(analysis.report) == _flags(VarietyAnalysis(rec).report), rec.name
+            previous = analysis
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    problems = atlas.analyse(bad).report.problems
+    assert any(p.endswith("is degenerate") for p in problems), problems
+    assert atlas.analyse(g2).report.ok
+
+
+def test_records_without_collections_share_no_tables(monkeypatch, database):
+    from toricfano import atlas
+
+    p4 = database.lookup("P4")
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    atlas.record_fan(p4)
+    bare = p4._replace(name="P4_bare", collections=None)
+    analysis = atlas.analyse(bare)
+    assert analysis.tables is None and analysis.report.ok
+    assert atlas.analyse(p4._replace(name="P4_again")).tables is None
 
 
 def test_record_report_caps_its_problems():

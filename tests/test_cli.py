@@ -389,29 +389,45 @@ def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
 
     from toricfano import atlas, fan
 
-    calls = Counter()
+    database = shipped_database()  # loaded, M5 derived, before anything is counted
+    fans, calls = Counter(), Counter()
+    fan_init = fan.Fan.__init__
+
+    def init(self, rays, *args, **kwargs):
+        fan_init(self, rays, *args, **kwargs)
+        fans[self.rays] += 1
+
+    keys = {
+        "build_fan": lambda rays, collections: (len(rays), tuple(collections)),
+        "build_fan_from_rays": lambda rays: tuple(map(tuple, rays)),
+        "minimal_nonfaces": lambda built: built.rays,
+    }
 
     def counted(name, original):
         def wrapper(*args):
-            result = original(*args)
-            key = args[0] if name != "minimal_nonfaces" else args[0].rays
-            calls[name, key] += 1
-            return result
+            calls[name, keys[name](*args)] += 1
+            return original(*args)
 
         return wrapper
 
     monkeypatch.setattr(atlas, "_last_analysis", None)
-    for name in ("build_fan", "build_fan_from_rays", "minimal_nonfaces"):
+    monkeypatch.setattr(fan.Fan, "__init__", init)
+    for name in keys:
         wrapped = counted(name, getattr(fan, name))
         for module in (fan, atlas):
             monkeypatch.setattr(module, name, wrapped)
     code, out, _ = run(capsys, "classify", "--all")
     assert code == 0 and out.splitlines()[-1] == "# two_fano 1 of 67: P4"
-    rays = Counter(tuple(tuple(v) for v in rec.rays) for rec in shipped_database())
-    builds = Counter({key: n for (name, key), n in calls.items() if name.startswith("build_fan")})
+    rays = Counter(tuple(tuple(v) for v in rec.rays) for rec in database)
+    types = Counter({(len(rec.rays), rec.collections): 1 for rec in database})
     nonfaces = Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"})
-    assert builds == rays
+    # every record gets one fan and asks for its non-faces once, and each
+    # combinatorial type builds its tables once
+    assert fans == rays
     assert nonfaces == rays
+    assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
+    assert len(types) == 17
+    assert not any(name == "build_fan_from_rays" for name, _ in calls)
 
 
 def test_validate_reads_the_db_file(tmp_path, capsys):

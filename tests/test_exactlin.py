@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import det4
 
-from toricfano.exactlin import adjugate4, det4, dot, nullspace, solve
+from toricfano.exactlin import adjugate4, dot, nullspace, solve
 
 
 def test_dot_examples():

@@ -2,8 +2,9 @@
 
 Start-up is most of the cost of a short command, so the import path keeps
 clear of modules that are slow to import and that the package does not
-need: ``dataclasses`` (which pulls in ``inspect``) and, outside
-``--format json``, ``json``.
+need: ``dataclasses`` (which pulls in ``inspect``), ``importlib.resources``
+(which pulls in ``inspect``, ``pathlib`` and ``tempfile`` from CPython 3.12
+on) and, outside ``--format json``, ``json``.
 """
 
 import subprocess
@@ -13,12 +14,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # run in a fresh isolated interpreter; the last line of stdout names the
-# modules that the import and the command loaded. importlib.resources,
-# which reads the bundled atlas, is loaded before the snapshot: what it
-# imports depends on the Python version (inspect from 3.12 on), not on
-# this package.
+# modules that the import and the command loaded
 PROBE = """\
-import importlib.resources
 import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
@@ -37,4 +34,4 @@ def test_list_loads_no_slow_stdlib_module():
     code, *loaded = done.stdout.splitlines()[-1].split()
     assert code == "0"
     assert "toricfano.atlas" in loaded
-    assert not {"dataclasses", "inspect", "json"} & set(loaded)
+    assert not {"dataclasses", "importlib.resources", "inspect", "json"} & set(loaded)
