@@ -32,7 +32,6 @@ from .chern import (
 from .fan import (
     Fan,
     FanError,
-    FanTables,
     PrimitiveRelation,
     build_fan,
     build_fan_from_rays,

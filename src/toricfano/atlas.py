@@ -144,29 +144,11 @@ def parse(text: str) -> AtlasDatabase:
     however long the offending line is.
 
     Every integer is a plain decimal: an optional "-", then ASCII digits.
-    ``int`` alone also reads "+1", "1_0" and non-ASCII digits. The first
-    reading uses ``int`` alone; keywords hold none of "+", "_" and non-ASCII
-    characters, so when the names hold every one of them that the text
-    holds, every integer token was plain. Otherwise (such a character in a
-    number or a comment), or when the first reading fails, a second reading
-    tests every integer token and reports the first fault.
+    ``int`` alone also reads "+1", "1_0" and non-ASCII digits, so each
+    integer token is tested with :func:`_plain` before ``int`` reads it.
     """
     # (line number, tokens) of each line with something besides a comment
     lines = [(n, tokens) for n, raw in enumerate(text.splitlines(), 1) if (tokens := raw.split("#", 1)[0].split())]
-    try:
-        records = _read(lines, strict=False)
-        names = "".join(rec.name for rec in records)
-        plain = text.isascii() and text.count("_") == names.count("_") and text.count("+") == names.count("+")
-    except AtlasParseError:
-        plain = False
-    if not plain:
-        records = _read(lines, strict=True)
-    return AtlasDatabase(tuple(records))
-
-
-def _read(lines: list[tuple[int, list[str]]], strict: bool) -> list[VarietyRecord]:
-    """The records of the significant ``lines`` of an atlas, see :func:`parse`;
-    ``strict`` tests that every integer token is plain before reading it."""
     end = len(lines)
     pos = 0
     records: list[VarietyRecord] = []
@@ -190,7 +172,7 @@ def _read(lines: list[tuple[int, list[str]]], strict: bool) -> list[VarietyRecor
         if tokens[0] != "rays" or len(tokens) != 2:
             _fail(lineno, f"{name}: expected 'rays <d>', got: {_echo(' '.join(tokens))}")
         try:
-            if strict and not _plain(tokens[1:]):
+            if not _plain(tokens[1:]):
                 raise ValueError
             count = int(tokens[1])
         except ValueError:
@@ -207,7 +189,7 @@ def _read(lines: list[tuple[int, list[str]]], strict: bool) -> list[VarietyRecor
             if len(tokens) != 4:
                 _fail(lineno, f"{name}: ray line needs 4 integers, got {len(tokens)}")
             try:
-                if strict and not _plain(tokens):
+                if not _plain(tokens):
                     raise ValueError
                 rays.append(tuple(map(int, tokens)))
             except ValueError:
@@ -224,7 +206,7 @@ def _read(lines: list[tuple[int, list[str]]], strict: bool) -> list[VarietyRecor
             if len(tokens) != 2:
                 _fail(lineno, f"{name}: expected 'collections <m>'")
             try:
-                if strict and not _plain(tokens[1:]):
+                if not _plain(tokens[1:]):
                     raise ValueError
                 m = int(tokens[1])
             except ValueError:
@@ -238,7 +220,7 @@ def _read(lines: list[tuple[int, list[str]]], strict: bool) -> list[VarietyRecor
                 if tokens[0] in _KEYWORDS:
                     _fail(lineno, f"{name}: expected {_echo(str(m))} collection lines, found {k}")
                 try:
-                    if strict and not _plain(tokens):
+                    if not _plain(tokens):
                         raise ValueError
                     idx = tuple(map(int, tokens))
                 except ValueError:
@@ -260,7 +242,7 @@ def _read(lines: list[tuple[int, list[str]]], strict: bool) -> list[VarietyRecor
             _fail(lineno, f"{name}: expected 'end', got: {_echo(' '.join(tokens))}")
 
         records.append(VarietyRecord(name, tuple(rays), collections))
-    return records
+    return AtlasDatabase(tuple(records))
 
 
 def render(db: AtlasDatabase) -> str:
@@ -313,7 +295,7 @@ class VarietyAnalysis:
         if rec.collections is None:
             return build_fan_from_rays(rec.rays)
         if self.tables is not None:
-            return Fan(rec.rays, tables=self.tables)
+            return Fan(rec.rays, self.tables)
         fan = build_fan(rec.rays, rec.collections)
         self.tables = fan.tables
         return fan

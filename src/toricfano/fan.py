@@ -128,7 +128,7 @@ class Fan:
     (:class:`FanTables`: faces, :attr:`cones2`, :attr:`cones3`, the wall
     table :attr:`walls` and the minimal non-faces) are built from the
     maximal cones, or shared with another fan that has the same maximal
-    cones: ``Fan(rays, tables=other.tables)``. The fans that
+    cones: ``Fan(rays, other.tables)``. The fans that
     :func:`build_fan` makes from equal ray counts and equal collections have
     equal maximal cones, so :func:`toricfano.atlas.analyse` shares tables
     between such records and holds at most one fan and one table set.
@@ -145,12 +145,9 @@ class Fan:
     cone that is not a face; :func:`validate_fan` reports these instead.
     """
 
-    def __init__(
-        self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone] = (), *, tables: FanTables | None = None
-    ):
+    def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone] | FanTables):
         self.rays: tuple[LatticePoint, ...] = tuple(tuple(map(int, v)) for v in rays)
-        if tables is None:
-            tables = FanTables(maxcones)
+        tables = maxcones if isinstance(maxcones, FanTables) else FanTables(maxcones)
         self.tables = tables
         # the tables' fields as plain attributes, read on every hot path
         self.maxcones = tables.maxcones

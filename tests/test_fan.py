@@ -147,6 +147,14 @@ def test_primitive_relation_identity_holds(h1, p4):
                 assert lhs == rhs
 
 
+def test_fan_needs_its_cones_or_shared_tables(p4):
+    shared = Fan(p4.rays, p4.tables)
+    assert shared.tables is p4.tables
+    assert shared.maxcones == p4.maxcones
+    with pytest.raises(TypeError):
+        Fan(p4.rays)
+
+
 def test_validate_fan_accepts_good_fans(h1, p4):
     for fan in (h1, p4):
         report = validate_fan(fan)
