@@ -382,9 +382,11 @@ def analyse(rec: VarietyRecord) -> VarietyAnalysis:
     record and then asks for its fan builds the fan once. A new analysis
     takes over the fan tables of the one it replaces when the two records
     have equal ray counts and equal collections, so the records of one
-    combinatorial type that follow each other in an atlas build their
-    tables once. A pass over an atlas therefore holds at most one fan and
-    one set of tables.
+    combinatorial type that follow each other build their tables once.
+    :func:`validate_database`, which the ``validate`` command runs, takes an
+    atlas one type at a time, so there each type builds its tables once
+    wherever its records sit in the file. A pass over an atlas holds at
+    most one fan and one set of tables.
     """
     global _last_analysis
     previous = _last_analysis
@@ -408,9 +410,11 @@ def _ray_problems(rec: VarietyRecord) -> list[str]:
     problems = []
     seen: dict[tuple, int] = {}
     for i, ray in enumerate(rec.rays, 1):
-        if all(x == 0 for x in ray):
+        # the gcd is never negative, and 0 only for the zero ray
+        divisor = math.gcd(*ray)
+        if divisor == 0:
             problems.append(f"ray {i} is zero")
-        elif math.gcd(*(abs(x) for x in ray)) != 1:
+        elif divisor != 1:
             problems.append(f"ray {i} is not primitive")
         if ray in seen:
             problems.append(f"rays {seen[ray]} and {i} coincide")
@@ -430,6 +434,27 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
     repeated or unused rays, fail outright.
     """
     return analyse(rec).report
+
+
+def validate_database(db: AtlasDatabase) -> list[RecordReport]:
+    """:func:`validate_record` of every record of ``db``, in file order.
+
+    The records are validated one combinatorial type at a time, in the
+    order the types first appear. A type is the key on which :func:`analyse`
+    hands tables over, the ray count and the collections, so each type
+    builds its fan tables once. No report depends on the order, since every
+    check reads only its own record.
+    """
+    # a dict keeps first-seen order and, unlike sorting, never compares
+    # None collections with ()
+    types: dict[tuple, list[int]] = {}
+    for i, rec in enumerate(db.records):
+        types.setdefault((len(rec.rays), rec.collections), []).append(i)
+    reports: list = [None] * len(db.records)
+    for indices in types.values():
+        for i in indices:
+            reports[i] = validate_record(db.records[i])
+    return reports
 
 
 # The bundled atlas, package data next to this module. Opened directly,

@@ -18,7 +18,7 @@ from .atlas import (
     analyse,
     parse,
     shipped_database,
-    validate_record,
+    validate_database,
 )
 from .chern import ch2_dot_surface
 from .fan import FanError
@@ -264,7 +264,7 @@ def cmd_paper_table(args) -> int:
 
 def cmd_validate(args) -> int:
     db = _load_db(args.db if args.file is None else args.file)
-    reports = [validate_record(rec) for rec in db]
+    reports = validate_database(db)
     rows = []
     all_ok = True
     for rep in reports:

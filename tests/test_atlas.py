@@ -275,6 +275,8 @@ def test_validate_record_catches_malformed_rays(database):
     report = validate_record(p4._replace(rays=p4.rays[:4] + ((-2, -2, -2, -2),)))
     assert not report.ok
     assert any("not primitive" in p for p in report.problems)
+    report = validate_record(p4._replace(rays=p4.rays[:4] + ((0, -2, 0, 2),)))
+    assert report.problems == ["ray 5 is not primitive"]
 
     report = validate_record(p4._replace(rays=p4.rays[:4] + (p4.rays[0],)))
     assert not report.ok

@@ -430,6 +430,57 @@ def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
     assert not any(name == "build_fan_from_rays" for name, _ in calls)
 
 
+def test_validate_builds_each_type_once_wherever_its_records_sit(tmp_path, monkeypatch, capsys):
+    from collections import Counter
+
+    from toricfano import atlas, fan
+    from toricfano.atlas import AtlasDatabase, parse, validate_record
+
+    db = shipped_database()
+    g1, p4 = db.lookup("G1"), db.lookup("P4")
+    swapped = list(g1.rays)
+    swapped[0], swapped[2] = swapped[2], swapped[0]
+    records = (
+        g1,
+        db.lookup("H1"),
+        p4._replace(name="P4_rays", collections=None),
+        db.lookup("G2"),
+        g1._replace(name="G1_swap_1_3", rays=tuple(swapped)),
+        p4._replace(name="P4_none", collections=()),
+        db.lookup("H2"),
+        p4,
+        db.lookup("G3"),
+    )
+    path = tmp_path / "shuffled.txt"
+    path.write_text(render(AtlasDatabase(records)))
+
+    # what validating each record in file order prints
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    reports = [validate_record(rec) for rec in parse(path.read_text())]
+    assert [rep.ok for rep in reports] == [True, True, True, True, False, False, True, True, True]
+    flags = ("smooth", "complete", "round_trip", "fano", "ok")
+    out = "".join(
+        "\t".join([rep.name] + [str(getattr(rep, f)).lower() for f in flags]) + "\n" for rep in reports
+    )
+    err = "".join(f"{rep.name}: {problem}\n" for rep in reports for problem in rep.problems if not rep.ok)
+
+    built = Counter()
+    build_fan = fan.build_fan
+
+    def counted(rays, collections):
+        built[len(rays), tuple(collections)] += 1
+        return build_fan(rays, collections)
+
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    monkeypatch.setattr(atlas, "build_fan", counted)
+    code, stdout, stderr = run(capsys, "validate", str(path))
+    assert (code, stdout, stderr) == (1, "variety\tsmooth\tcomplete\tround_trip\tfano\tok\n" + out, err)
+    # G1, G2, G3 and the swap are one type, H1 and H2 another, and P4 and
+    # P4_none two more; P4_rays has no collections and takes the face-fan path
+    assert built == Counter({(len(rec.rays), rec.collections): 1 for rec in records if rec.collections is not None})
+    assert len(built) == 4
+
+
 def test_validate_reads_the_db_file(tmp_path, capsys):
     p4 = shipped_database().lookup("P4")
     bad = p4._replace(name="P4x", rays=p4.rays[:4] + ((-2, -1, -1, -1),))
