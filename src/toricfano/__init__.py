@@ -35,7 +35,6 @@ from .fan import (
     PrimitiveRelation,
     build_fan,
     build_fan_from_rays,
-    is_fano,
     lattice_equivalent,
     minimal_nonfaces,
     primitive_relation,

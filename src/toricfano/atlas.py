@@ -31,12 +31,10 @@ from .fan import (
     Fan,
     FanError,
     FanTables,
-    PrimitiveRelation,
     build_fan,
     build_fan_from_rays,
     cap_problems,
     minimal_nonfaces,
-    primitive_relation,
     validate_fan,
 )
 
@@ -262,11 +260,24 @@ def render(db: AtlasDatabase) -> str:
 class VarietyAnalysis:
     """What is computed about one record, each part on first use.
 
-    The fan is built once, and its minimal non-faces and primitive relations
-    are computed once; the validation report, the relation lines of
-    ``toricfano show`` and the ch2 report all read them. ``fan`` raises
-    :class:`FanError` when the record does not describe a fan, ``report``
-    never raises.
+    The fan is built once, and its minimal non-faces are computed once; the
+    validation report, the collection lines of ``toricfano show`` and the
+    ch2 report all read them. ``fan`` raises :class:`FanError` when the
+    record does not describe a fan, ``report`` never raises.
+
+    The Fano check reads the wall relations that :func:`validate_fan` has
+    cached. A complete toric variety is Fano when -K is ample, and -K is
+    ample exactly when it has positive degree on every invariant curve
+    V(tau) (the toric Kleiman criterion, Cox-Little-Schenck, *Toric
+    Varieties*, Thm 6.3.13). With x = :meth:`Fan.wall_relation` of the wall
+    tau, that degree is 2 - sum of x_w over w in tau. On a smooth complete
+    fan this is Batyrev's criterion that every primitive relation has
+    positive degree (Batyrev 1999, Prop. 2.3.6), which the test suite keeps
+    as an independent oracle. The first wall, in :attr:`Fan.cones3` order,
+    where the degree is not positive is reported, e.g. ``anticanonical
+    degree -1 on the curve of wall (1, 2, 3)``. No primitive relation is
+    computed here: ``toricfano show`` computes the ones it prints, and no
+    other command computes any.
 
     The combinatorial tables of a fan built from collections
     (:class:`~toricfano.fan.FanTables`: maximal cones, faces, walls, 2- and
@@ -274,15 +285,15 @@ class VarietyAnalysis:
     collections. ``tables``, when given, are those of an earlier record with
     the same ray count and collections, and the fan is built on them instead
     of from the collections; once a fan is built from collections,
-    ``tables`` holds its tables. The rays are never shared: bases, wall relations, the overlap
-    check, primitive relations and ch2 are computed for every record. A
-    record without collections takes the face-fan path and shares nothing.
+    ``tables`` holds its tables. The rays are never shared: bases, wall
+    relations, the overlap check, the Fano check and ch2 are computed for
+    every record. A record without collections takes the face-fan path and
+    shares nothing.
     """
 
     def __init__(self, record: VarietyRecord, tables: FanTables | None = None):
         self.record = record
         self.tables = tables
-        self._relations: dict[Cone, PrimitiveRelation] = {}
 
     @cached_property
     def fan(self) -> Fan:
@@ -303,13 +314,6 @@ class VarietyAnalysis:
     @cached_property
     def nonfaces(self) -> tuple[Cone, ...]:
         return minimal_nonfaces(self.fan)
-
-    def relation(self, collection: Cone) -> PrimitiveRelation:
-        """The primitive relation of a sorted collection of the fan."""
-        rel = self._relations.get(collection)
-        if rel is None:
-            rel = self._relations[collection] = primitive_relation(self.fan, collection)
-        return rel
 
     @cached_property
     def report(self) -> RecordReport:
@@ -359,12 +363,15 @@ class VarietyAnalysis:
                 report.problems.append(
                     f"collections do not round-trip (declared-only {missing}, derived-only {extra})"
                 )
-        try:
-            report.fano = all(self.relation(p).degree > 0 for p in self.nonfaces)
-            if not report.fano:
-                report.problems.append("a primitive relation has nonpositive degree")
-        except FanError as exc:
-            report.problems.append(str(exc))
+        # -K . V(tau) = 2 - sum of x_w over w in tau, from the wall relation
+        # v_a + v_b = sum of x_w v_w that validation cached for every wall
+        for tau in fan.cones3:
+            x = fan.wall_relation(tau)
+            degree = 2 - x[tau[0]] - x[tau[1]] - x[tau[2]]
+            if degree <= 0:
+                report.problems.append(f"anticanonical degree {degree} on the curve of wall {tau}")
+                return
+        report.fano = True
 
     @cached_property
     def ch2(self) -> Ch2Report:
@@ -429,9 +436,16 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
     Smooth and complete come from the fan validator; round-trip demands the
     declared collections equal the minimal non-faces of the built fan (it is
     vacuous for records whose collections were derived in the first place);
-    the Fano check requires every relation degree to be positive. Records
-    with more than :data:`MAX_RAYS` rays, or with zero, non-primitive,
-    repeated or unused rays, fail outright.
+    the Fano check requires -K to have positive degree on the curve of every
+    wall (the toric Kleiman criterion, Cox-Little-Schenck, Thm 6.3.13; on a
+    smooth complete fan, Batyrev's criterion that every primitive relation
+    has positive degree, Batyrev 1999, Prop. 2.3.6), read from the wall
+    relations that validation cached. The first failing wall is reported,
+    e.g. ``anticanonical degree -1 on the curve of wall (1, 2, 3)``. No
+    primitive relation is computed; only ``toricfano show`` computes the
+    ones it prints (see :class:`VarietyAnalysis`). Records with more than
+    :data:`MAX_RAYS` rays, or with zero, non-primitive, repeated or unused
+    rays, fail outright.
     """
     return analyse(rec).report
 

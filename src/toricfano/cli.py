@@ -21,7 +21,7 @@ from .atlas import (
     validate_database,
 )
 from .chern import ch2_dot_surface
-from .fan import FanError
+from .fan import FanError, primitive_relation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,7 +91,7 @@ def cmd_show(args) -> int:
             print(f"    {{{', '.join(str(i) for i in coll)}}}")
         return EXIT_OK
     for coll in analysis.nonfaces if collections is None else collections:
-        print(f"    {analysis.relation(coll).describe()}")
+        print(f"    {primitive_relation(analysis.fan, coll).describe()}")
     return EXIT_OK
 
 
@@ -181,7 +181,8 @@ def cmd_classify(args) -> int:
             print("classify: give variety names or --all", file=sys.stderr)
             return EXIT_FAIL
         targets = []
-        for name in args.names:
+        # each named variety once, in the order first given
+        for name in dict.fromkeys(args.names):
             try:
                 targets.append(db.lookup(name))
             except KeyError:

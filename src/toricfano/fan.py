@@ -599,15 +599,6 @@ def validate_fan(fan: Fan) -> FanReport:
     return FanReport(smooth, simplicial_ok and not gaps, simplicial_ok, problems + gaps)
 
 
-def is_fano(fan: Fan) -> bool:
-    """Whether every primitive relation has positive degree.
-
-    Expects a fan that already validated as smooth and complete; relation
-    errors from non-smooth input propagate.
-    """
-    return all(primitive_relation(fan, p).degree > 0 for p in minimal_nonfaces(fan))
-
-
 def _relation_pairs(relations) -> list[tuple[Cone, dict[int, int]]]:
     pairs = []
     for rel in relations:

@@ -1,7 +1,8 @@
-"""Shared test machinery: functional perturbations, independent
-divisor-curve and ch2 oracles built on wall relations only, reference
-versions of the face table, the face-fan and the non-face searches, a
-cofactor 4x4 determinant, and the errata of the reference table."""
+"""Shared test machinery: the primitive-relation Fano criterion,
+functional perturbations, independent divisor-curve and ch2 oracles built
+on wall relations only, reference versions of the face table, the face-fan
+and the non-face searches, a cofactor 4x4 determinant, and the errata of
+the reference table."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +10,7 @@ from typing import NamedTuple
 
 from toricfano.chern import dual_functional
 from toricfano.exactlin import adjugate4, dot, nullspace, solve
-from toricfano.fan import Fan
+from toricfano.fan import Fan, minimal_nonfaces, primitive_relation
 
 
 def _det3(a, b, c) -> int:
@@ -40,6 +41,18 @@ def det4(rows) -> int:
             total += sign * r0[j] * _det3(_drop(r1, j), _drop(r2, j), _drop(r3, j))
         sign = -sign
     return total
+
+
+def is_fano(fan) -> bool:
+    """Whether every primitive relation has positive degree (Batyrev 1999,
+    Prop. 2.3.6).
+
+    The relation criterion, kept as an oracle for the curve criterion that
+    :func:`toricfano.atlas.validate_record` applies. Expects a fan that
+    already validated as smooth and complete; relation errors from
+    non-smooth input propagate.
+    """
+    return all(primitive_relation(fan, p).degree > 0 for p in minimal_nonfaces(fan))
 
 
 def perturbed_functional(fan, w, cone, rng):

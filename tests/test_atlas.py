@@ -414,3 +414,64 @@ def test_record_report_caps_its_problems():
     assert len(report.problems) == MAX_PROBLEMS + 1
     assert report.problems[:3] == ["ray 1 is zero", "ray 2 is zero", "rays 1 and 2 coincide"]
     assert report.problems[-1] == f"{23 - MAX_PROBLEMS} more problems not shown"
+
+
+def _unimodular(rng):
+    """A small-entry integer matrix of determinant +-1: transvections, then
+    a signed row shuffle."""
+    m = [[int(r == c) for c in range(4)] for r in range(4)]
+    for _ in range(4):
+        i, j = rng.sample(range(4), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    rng.shuffle(m)
+    signs = [rng.choice((-1, 1)) for _ in m]
+    return [[s * x for x in row] for row, s in zip(m, signs)]
+
+
+def _lattice_image(rec, rng, keep_collections):
+    """``rec`` under a random GL4(Z) map, with its rays relabelled."""
+    g = _unimodular(rng)
+    perm = list(range(1, len(rec.rays) + 1))
+    rng.shuffle(perm)
+    rays = [None] * len(rec.rays)
+    for old, ray in enumerate(rec.rays):
+        rays[perm[old] - 1] = tuple(sum(g[r][c] * ray[c] for c in range(4)) for r in range(4))
+    collections = None
+    if keep_collections:
+        collections = tuple(sorted(tuple(sorted(perm[i - 1] for i in c)) for c in rec.collections))
+    return rec._replace(name=f"g_{rec.name}", rays=tuple(rays), collections=collections, collections_derived=False)
+
+
+def _bundle(sixth_ray):
+    from test_fan import BUNDLE_COLLECTIONS, BUNDLE_RAYS
+
+    from toricfano.atlas import VarietyRecord
+
+    return VarietyRecord("bundle", BUNDLE_RAYS[:5] + (sixth_ray,), BUNDLE_COLLECTIONS)
+
+
+def test_the_curve_criterion_agrees_with_the_relation_criterion(database):
+    import random
+
+    from helpers import is_fano
+
+    from toricfano.atlas import record_fan
+
+    def verdicts(rec):
+        report = validate_record(rec)
+        assert report.smooth and report.complete and report.round_trip, (rec.name, report.problems)
+        return report.fano, is_fano(record_fan(rec))
+
+    rng = random.Random(14)
+    for rec in database:
+        assert verdicts(rec) == (True, True), rec.name
+        for keep_collections in (True, False):
+            assert verdicts(_lattice_image(rec, rng, keep_collections)) == (True, True), rec.name
+
+    # P(O + O(2)) and P(O + O(3)) over P3: smooth and complete, and the
+    # relation v5 + v6 = k v1 has degree 2 - k
+    for sixth_ray, degree in (((2, 0, 0, -1), 0), ((3, 0, 0, -1), -1)):
+        rec = _bundle(sixth_ray)
+        assert verdicts(rec) == (False, False), sixth_ray
+        assert validate_record(rec).problems == [f"anticanonical degree {degree} on the curve of wall (1, 2, 3)"]

@@ -203,7 +203,7 @@ def test_anticanonical_degree_vanishes_on_degree_zero_relation():
 
 
 def test_fano_consistency_on_shipped_varieties(fans):
-    from toricfano.fan import is_fano
+    from helpers import is_fano
 
     for fan in fans.values():
         assert is_fano(fan)

@@ -125,6 +125,14 @@ def test_classify_all_finds_single_two_fano(capsys):
     assert winners == [["P4", "V(1,2)", "5/2", "two_fano"]]
 
 
+def test_classify_names_each_variety_once(capsys):
+    once = run(capsys, "classify", "P4")
+    assert run(capsys, "classify", "P4", "P4") == once
+    code, out, err = run(capsys, "classify", "H1", "P4", "H1", "P4")
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["variety", "H1", "P4", "# two_fano 1 of 2: P4"]
+
+
 def test_classify_requires_names_or_all(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 1
@@ -583,3 +591,44 @@ def test_show_caps_the_face_fan_error(tmp_path, capsys):
     line = out.splitlines()[-1]
     assert line.startswith("  (relations unavailable: ") and line.endswith(")")
     _assert_capped_face_fan_error(line[len("  (relations unavailable: ") : -1])
+
+
+def test_batch_commands_compute_no_primitive_relation(tmp_path, monkeypatch, capsys):
+    from toricfano import cli, fan
+
+    def no_relation(*args):
+        raise AssertionError("a primitive relation was computed")
+
+    monkeypatch.setattr(fan, "primitive_relation", no_relation)
+    monkeypatch.setattr(cli, "primitive_relation", no_relation)
+    db = tmp_path / "shipped.txt"
+    db.write_text(render(shipped_database()))
+    assert run(capsys, "classify", "--all")[0] == 0
+    assert run(capsys, "validate")[0] == 0
+    assert run(capsys, "validate", str(db))[0] == 0
+    assert run(capsys, "--db", str(db), "ch2", "H1")[0] == 0
+    assert run(capsys, "--db", str(db), "ch2", "H1", "--surface", "3,4")[0] == 0
+    assert run(capsys, "--db", str(db), "paper-table")[0] == 1  # the known H2 row
+
+
+NON_FANO_BUNDLE = (
+    "variety B\nrays 6\n1 0 0 0\n0 1 0 0\n0 0 1 0\n-1 -1 -1 0\n0 0 0 1\n3 0 0 -1\n"
+    "collections 2\n5 6\n1 2 3 4\nend\n"
+)
+
+
+def test_validate_and_show_name_the_wall_of_a_non_fano_record(tmp_path, capsys):
+    # P(O + O(3)) over P3 is smooth and complete, and -K . V((1, 2, 3)) = -1
+    db = tmp_path / "bundle.txt"
+    db.write_text(NON_FANO_BUNDLE)
+    code, out, err = run(capsys, "validate", str(db))
+    assert code == 1
+    assert out.splitlines()[1] == "B\ttrue\ttrue\ttrue\tfalse\tfalse"
+    assert err == "B: anticanonical degree -1 on the curve of wall (1, 2, 3)\n"
+    code, out, err = run(capsys, "--db", str(db), "show", "B")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == [
+        "  (relations unavailable: anticanonical degree -1 on the curve of wall (1, 2, 3))",
+        "    {5, 6}",
+        "    {1, 2, 3, 4}",
+    ]

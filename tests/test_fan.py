@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_force_nonfaces, face_fan_by_subsets, face_table_by_subsets, wall_curve_oracle
+from helpers import brute_force_nonfaces, face_fan_by_subsets, face_table_by_subsets, is_fano, wall_curve_oracle
 
 from toricfano import fan as fan_module
 from toricfano.exactlin import adjugate4, dot, solve
@@ -15,7 +15,6 @@ from toricfano.fan import (
     build_fan_from_rays,
     cap_problems,
     containing_cones,
-    is_fano,
     lattice_equivalent,
     minimal_nonfaces,
     primitive_relation,
