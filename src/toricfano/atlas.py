@@ -266,18 +266,18 @@ class VarietyAnalysis:
     record does not describe a fan, ``report`` never raises.
 
     The Fano check reads the wall relations that :func:`validate_fan` has
-    cached. A complete toric variety is Fano when -K is ample, and -K is
-    ample exactly when it has positive degree on every invariant curve
-    V(tau) (the toric Kleiman criterion, Cox-Little-Schenck, *Toric
-    Varieties*, Thm 6.3.13). With x = :meth:`Fan.wall_relation` of the wall
-    tau, that degree is 2 - sum of x_w over w in tau. On a smooth complete
-    fan this is Batyrev's criterion that every primitive relation has
-    positive degree (Batyrev 1999, Prop. 2.3.6), which the test suite keeps
-    as an independent oracle. The first wall, in :attr:`Fan.cones3` order,
-    where the degree is not positive is reported, e.g. ``anticanonical
-    degree -1 on the curve of wall (1, 2, 3)``. No primitive relation is
-    computed here: ``toricfano show`` computes the ones it prints, and no
-    other command computes any.
+    stored, with one :meth:`Fan.wall_relations` call. A complete toric
+    variety is Fano when -K is ample, and -K is ample exactly when it has
+    positive degree on every invariant curve V(tau) (the toric Kleiman
+    criterion, Cox-Little-Schenck, *Toric Varieties*, Thm 6.3.13). With x
+    the wall relation of tau, that degree is 2 - sum of x_w over w in tau.
+    On a smooth complete fan this is Batyrev's criterion that every
+    primitive relation has positive degree (Batyrev 1999, Prop. 2.3.6),
+    which the test suite keeps as an independent oracle. The first wall,
+    in :attr:`Fan.cones3` order, where the degree is not positive is
+    reported, e.g. ``anticanonical degree -1 on the curve of wall (1, 2,
+    3)``. No primitive relation is computed here: ``toricfano show``
+    computes the ones it prints, and no other command computes any.
 
     The combinatorial tables of a fan built from collections
     (:class:`~toricfano.fan.FanTables`: maximal cones, faces, walls, 2- and
@@ -364,13 +364,17 @@ class VarietyAnalysis:
                     f"collections do not round-trip (declared-only {missing}, derived-only {extra})"
                 )
         # -K . V(tau) = 2 - sum of x_w over w in tau, from the wall relation
-        # v_a + v_b = sum of x_w v_w that validation cached for every wall
-        for tau in fan.cones3:
-            x = fan.wall_relation(tau)
-            degree = 2 - x[tau[0]] - x[tau[1]] - x[tau[2]]
-            if degree <= 0:
-                report.problems.append(f"anticanonical degree {degree} on the curve of wall {tau}")
-                return
+        # v_a + v_b = sum of x_w v_w that validation stored for every wall;
+        # the first failing wall in cones3 order is the least
+        failing = [
+            (tau, degree)
+            for tau, x in fan.wall_relations().items()
+            if (degree := 2 - x[tau[0]] - x[tau[1]] - x[tau[2]]) <= 0
+        ]
+        if failing:
+            tau, degree = min(failing)
+            report.problems.append(f"anticanonical degree {degree} on the curve of wall {tau}")
+            return
         report.fano = True
 
     @cached_property
@@ -440,7 +444,7 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
     wall (the toric Kleiman criterion, Cox-Little-Schenck, Thm 6.3.13; on a
     smooth complete fan, Batyrev's criterion that every primitive relation
     has positive degree, Batyrev 1999, Prop. 2.3.6), read from the wall
-    relations that validation cached. The first failing wall is reported,
+    relations that validation stored. The first failing wall is reported,
     e.g. ``anticanonical degree -1 on the curve of wall (1, 2, 3)``. No
     primitive relation is computed; only ``toricfano show`` computes the
     ones it prints (see :class:`VarietyAnalysis`). Records with more than

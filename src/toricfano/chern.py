@@ -135,9 +135,9 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     every surface at once in one sweep over the walls.
 
     By default the sum is read from the curve numbers of the walls
-    sigma + n around sigma (:meth:`Fan.wall_relation`, computed once per
-    wall): D_w . V(sigma) is the curve of sigma + w for w in the link,
-    sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
+    sigma + n around sigma (:meth:`Fan.wall_relations` of those walls,
+    computed once per wall): D_w . V(sigma) is the curve of sigma + w for w
+    in the link, sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
     (u_w = ``fan.dual(w, sigma)``), and zero otherwise. So the sum has one
     term per wall around sigma (:func:`_wall_sum`), and each wall's term
     depends only on that wall and on sigma. With ``u_fn`` the
@@ -157,21 +157,27 @@ def _wall_sum(fan: Fan, sigma: Cone):
     """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone from the wall table.
 
     The walls around sigma = (p, q) are the 3-cones tau = sigma + n in
-    :attr:`Fan.walls`. With x = :meth:`Fan.wall_relation` of tau, the curve
+    :attr:`Fan.walls`, and their relations x are filled by one
+    :meth:`Fan.wall_relations` call, which computes no other wall. The curve
     of tau meets D_w in -x_w points for w in tau. The term of n is then
     -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q with u_p, u_q the duals of p, q
     on sigma.
     """
     p, q = sigma
-    up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
     walls, rays = fan.walls, fan.rays
-    total = 0
+    around = {}
     for n in range(1, fan.ray_count + 1):
         tau = (n, p, q) if n < p else (p, n, q) if n < q else (p, q, n)
         if n != p and n != q and tau in walls:
-            x = fan.wall_relation(tau)
-            v = rays[n - 1]
-            total += sum(map(mul, up, v)) * x[p] + sum(map(mul, uq, v)) * x[q] - x[n]
+            around[tau] = n
+    relations = fan.wall_relations(around)
+    # the cone holding sigma holds two of these walls, so its basis is stored
+    up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
+    total = 0
+    for tau, n in around.items():
+        x = relations[tau]
+        v = rays[n - 1]
+        total += sum(map(mul, up, v)) * x[p] + sum(map(mul, uq, v)) * x[q] - x[n]
     return total
 
 
@@ -225,26 +231,55 @@ def _surface_sums(fan: Fan) -> dict:
     """sum_w D_w . (D_w . V(sigma)) for every 2-cone sigma, in the order of
     ``fan.cones2``, from one pass over the wall table.
 
-    The wall tau = (a, b, c) with coordinates x = :meth:`Fan.wall_relation`
-    adds -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q to the surface
+    The wall tau = (a, b, c) with coordinates x, its wall relation, adds
+    -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q to the surface
     sigma = (p, q) = tau minus n, for each n in tau, with u_p, u_q the duals
-    of p, q on sigma, fetched once per surface: the term :func:`_wall_sum`
-    adds for n. No link of a surface is read and no wall tuple is built.
+    of p, q on the maximal cone holding sigma: the term :func:`_wall_sum`
+    adds for n. When n is a generator of that cone, both pairings vanish
+    and the term is -x_n. The relations and the bases are read from the
+    fan's stores, :meth:`Fan.wall_relations` and :meth:`Fan.cone_bases`,
+    one call each. The holder of sigma also holds the walls that it has
+    around sigma (any maximal cone with such a wall contains sigma, so none
+    comes earlier), so once every wall relation exists no holder of a
+    surface is degenerate. No link of a surface is read.
     """
+    relations = fan.wall_relations()
+    bases = fan.cone_bases()
+    holders = fan.tables.faces
     acc: dict = dict.fromkeys(fan.cones2, 0)
-    duals = {sigma: (*fan.dual(sigma[0], sigma), *fan.dual(sigma[1], sigma)) for sigma in fan.cones2}
+    # per surface: the duals of p and q on its holder, then the holder
+    duals = {}
+    for sigma in acc:
+        mc = holders[sigma]
+        u = bases[mc][0]
+        duals[sigma] = (*u[mc.index(sigma[0])], *u[mc.index(sigma[1])], mc)
     rays = fan.rays
-    for tau in fan.walls:
+    for tau, x in relations.items():
         a, b, c = tau
-        x = fan.wall_relation(tau)
         xa, xb, xc = x[a], x[b], x[c]
-        for n, xn, sigma, xp, xq in ((a, xa, (b, c), xb, xc), (b, xb, (a, c), xa, xc), (c, xc, (a, b), xa, xb)):
-            v0, v1, v2, v3 = rays[n - 1]
-            p0, p1, p2, p3, q0, q1, q2, q3 = duals[sigma]
-            acc[sigma] = (
-                acc[sigma]
-                - xn
-                + (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xp
-                + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xq
+        # the surfaces (b, c), (a, c) and (a, b), across n = a, b and c
+        p0, p1, p2, p3, q0, q1, q2, q3, mc = duals[b, c]
+        if a in mc:
+            acc[b, c] -= xa
+        else:
+            v0, v1, v2, v3 = rays[a - 1]
+            acc[b, c] += (
+                (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xb + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xc - xa
+            )
+        p0, p1, p2, p3, q0, q1, q2, q3, mc = duals[a, c]
+        if b in mc:
+            acc[a, c] -= xb
+        else:
+            v0, v1, v2, v3 = rays[b - 1]
+            acc[a, c] += (
+                (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xa + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xc - xb
+            )
+        p0, p1, p2, p3, q0, q1, q2, q3, mc = duals[a, b]
+        if c in mc:
+            acc[a, b] -= xc
+        else:
+            v0, v1, v2, v3 = rays[c - 1]
+            acc[a, b] += (
+                (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xa + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xb - xc
             )
     return acc

@@ -84,9 +84,13 @@ def cmd_show(args) -> int:
     tag = " (derived)" if collections is None or rec.collections_derived else ""
     print(f"  collections{tag}:")
     report = analysis.report
+    # a smooth complete fan whose collections round-trip has its primitive
+    # relations even when it is not Fano, and they show the relation at fault
+    fan_ok = report.smooth and report.complete and report.round_trip
     if not report.ok:
+        print(f"  ({'not Fano' if fan_ok else 'relations unavailable'}: {report.problems[0]})")
+    if not fan_ok:
         # a record that fails validation may not be a fan, so no relation is computed
-        print(f"  (relations unavailable: {report.problems[0]})")
         for coll in collections or ():
             print(f"    {{{', '.join(str(i) for i in coll)}}}")
         return EXIT_OK

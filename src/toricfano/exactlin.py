@@ -5,9 +5,10 @@ Everything here is plain Python arithmetic over ``int`` and
 is stored in lowest terms with a positive denominator, and there is no
 rounding anywhere. Vectors are tuples, matrices are sequences of row tuples.
 
-Square 4x4 integer systems are handled in integers only: :func:`adjugate4`
-gives the adjugate and the determinant, and the adjugate rows divided by the
-determinant form the dual basis (integral on a unimodular matrix).
+Square 4x4 integer systems are handled in integers only: :func:`adjugates4`
+gives the adjugate and the determinant of each matrix of a batch, and the
+adjugate rows divided by the determinant form the dual basis (integral on a
+unimodular matrix); :func:`adjugate4` is its batch of one.
 The rational row reduction behind :func:`solve` and :func:`nullspace` serves
 the general, possibly singular or non-square systems, which never have more
 than four columns here.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Vector = tuple
 Scalar = "int | Fraction"
@@ -30,51 +31,60 @@ def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
 
 
-def adjugate4(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Adjugate and determinant of the 4x4 integer matrix with columns ``cols``.
+def adjugates4(matrices: Iterable[Sequence[Sequence[int]]]) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Adjugate and determinant of each 4x4 integer matrix, given by its columns.
 
-    Returns ``(adj_rows, det)`` with ``dot(adj_rows[i], cols[j])`` equal to
-    ``det`` when ``i == j`` and to 0 otherwise; ``adj_rows[i]`` is the vector
-    of signed cofactors of ``cols[i]``. Dividing the rows by ``det`` gives
-    the dual basis of ``cols`` (integral when ``det`` is +-1); ``det`` is 0
-    exactly when the columns are dependent. Each cofactor is expanded over
-    the twelve 2x2 minors of the column pairs (a, b) and (c, d), so the work
-    is a few dozen integer products.
+    Returns one ``(adj_rows, det)`` per matrix, in order, with
+    ``dot(adj_rows[i], cols[j])`` equal to ``det`` when ``i == j`` and to 0
+    otherwise; ``adj_rows[i]`` is the vector of signed cofactors of
+    ``cols[i]``. Dividing the rows by ``det`` gives the dual basis of
+    ``cols`` (integral when ``det`` is +-1); ``det`` is 0 exactly when the
+    columns are dependent. Each cofactor is expanded over the twelve 2x2
+    minors of the column pairs (a, b) and (c, d), so the work is a few dozen
+    integer products per matrix, in one loop over the batch.
     """
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = cols
-    # 2x2 minors of (a, b) and of (c, d) on the coordinate pairs 01 .. 23
-    ab01, ab02, ab03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
-    ab12, ab13, ab23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
-    cd01, cd02, cd03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
-    cd12, cd13, cd23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
-    row0 = (
-        b1 * cd23 - b2 * cd13 + b3 * cd12,
-        b2 * cd03 - b0 * cd23 - b3 * cd02,
-        b0 * cd13 - b1 * cd03 + b3 * cd01,
-        b1 * cd02 - b0 * cd12 - b2 * cd01,
-    )
-    adj_rows = (
-        row0,
-        (
-            a2 * cd13 - a1 * cd23 - a3 * cd12,
-            a0 * cd23 - a2 * cd03 + a3 * cd02,
-            a1 * cd03 - a0 * cd13 - a3 * cd01,
-            a0 * cd12 - a1 * cd02 + a2 * cd01,
-        ),
-        (
-            d1 * ab23 - d2 * ab13 + d3 * ab12,
-            d2 * ab03 - d0 * ab23 - d3 * ab02,
-            d0 * ab13 - d1 * ab03 + d3 * ab01,
-            d1 * ab02 - d0 * ab12 - d2 * ab01,
-        ),
-        (
-            c2 * ab13 - c1 * ab23 - c3 * ab12,
-            c0 * ab23 - c2 * ab03 + c3 * ab02,
-            c1 * ab03 - c0 * ab13 - c3 * ab01,
-            c0 * ab12 - c1 * ab02 + c2 * ab01,
-        ),
-    )
-    return adj_rows, a0 * row0[0] + a1 * row0[1] + a2 * row0[2] + a3 * row0[3]
+    out = []
+    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
+        # 2x2 minors of (a, b) and of (c, d) on the coordinate pairs 01 .. 23
+        ab01, ab02, ab03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        ab12, ab13, ab23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        cd01, cd02, cd03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+        cd12, cd13, cd23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+        row0 = (
+            b1 * cd23 - b2 * cd13 + b3 * cd12,
+            b2 * cd03 - b0 * cd23 - b3 * cd02,
+            b0 * cd13 - b1 * cd03 + b3 * cd01,
+            b1 * cd02 - b0 * cd12 - b2 * cd01,
+        )
+        adj_rows = (
+            row0,
+            (
+                a2 * cd13 - a1 * cd23 - a3 * cd12,
+                a0 * cd23 - a2 * cd03 + a3 * cd02,
+                a1 * cd03 - a0 * cd13 - a3 * cd01,
+                a0 * cd12 - a1 * cd02 + a2 * cd01,
+            ),
+            (
+                d1 * ab23 - d2 * ab13 + d3 * ab12,
+                d2 * ab03 - d0 * ab23 - d3 * ab02,
+                d0 * ab13 - d1 * ab03 + d3 * ab01,
+                d1 * ab02 - d0 * ab12 - d2 * ab01,
+            ),
+            (
+                c2 * ab13 - c1 * ab23 - c3 * ab12,
+                c0 * ab23 - c2 * ab03 + c3 * ab02,
+                c1 * ab03 - c0 * ab13 - c3 * ab01,
+                c0 * ab12 - c1 * ab02 + c2 * ab01,
+            ),
+        )
+        out.append((adj_rows, a0 * row0[0] + a1 * row0[1] + a2 * row0[2] + a3 * row0[3]))
+    return out
+
+
+def adjugate4(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(adj_rows, det)`` of the one 4x4 matrix with columns ``cols``, see
+    :func:`adjugates4`."""
+    return adjugates4((cols,))[0]
 
 
 def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:

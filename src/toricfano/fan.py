@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactlin import adjugate4, dot, solve
+from .exactlin import adjugates4, dot, solve
 
 LatticePoint = tuple[int, int, int, int]
 Cone = tuple[int, ...]
@@ -132,13 +131,18 @@ class Fan:
     :func:`build_fan` makes from equal ray counts and equal collections have
     equal maximal cones, so :func:`toricfano.atlas.analyse` shares tables
     between such records and holds at most one fan and one table set.
-    Everything that reads the rays stays with the fan and is never shared.
-    Each face is held by one maximal cone, whose dual basis, computed on
-    first use, serves every functional on that face. One coordinate vector
-    per wall (:meth:`wall_relation`) is built on first use; validation,
-    curve numbers and ch2 all read them. The first point-containment test
-    (:func:`containing_cones`) gathers the dual bases of all maximal cones
-    into one table.
+    Everything that reads the rays stays with the fan and is never shared,
+    in two stores that are filled in batches: :meth:`cone_bases`, the dual
+    basis and determinant of each maximal cone, and :meth:`wall_relations`,
+    one coordinate vector per wall. Each face is held by one maximal cone,
+    whose dual basis serves every functional on that face. Called without
+    arguments, each method fills its whole store in one loop and returns
+    it, so :func:`validate_fan` computes every basis and relation once, and
+    the Fano check, :func:`~toricfano.chern.classify` and
+    :func:`containing_cones` read the stores with one call each. Given cones
+    or walls, each fills only those, so a single surface computes only the
+    walls around it; :meth:`cone_basis` and :meth:`wall_relation` are
+    batches of one.
 
     The intersection methods raise :class:`FanError` naming the cone on a
     degenerate maximal cone, a wall outside exactly two maximal cones, or a
@@ -173,35 +177,60 @@ class Fan:
     def is_maxcone(self, indices: Iterable[int]) -> bool:
         return _cone(indices) in self._maxset
 
-    def cone_basis(self, mc: Cone) -> tuple:
-        """``(duals, det)`` for the maximal cone ``mc``, cached per fan.
+    def cone_bases(self, cones: Iterable[Cone] | None = None) -> dict[Cone, tuple]:
+        """The store of ``(duals, det)`` per maximal cone, filled for the
+        maximal cones ``cones`` (default: all of them) in one batch and
+        returned whole.
 
         ``det`` is the determinant of the generators in index order and
         ``duals[k]`` the functional equal to 1 on generator ``mc[k]`` and 0
         on the others: the adjugate row divided by ``det``, so integers when
-        ``det`` is +-1 and ``Fraction`` otherwise. This is the one place that
-        detects a degenerate cone (``det`` 0): it raises :class:`FanError`
-        naming the cone.
+        ``det`` is +-1 and ``Fraction`` otherwise. A degenerate cone is
+        stored as ``(None, 0)``, so filling never raises on one; its readers
+        raise :class:`FanError` naming the cone when they need its duals. A
+        cone that is not maximal raises :class:`FanError` and is not stored.
+        Each basis is computed once per fan, by :func:`adjugates4` over the
+        cones the store lacks.
         """
-        entry = self._bases.get(mc)
-        if entry is None:
-            adj, det = adjugate4([self.rays[i - 1] for i in mc])
-            if det == 0:
-                raise FanError(f"cone {mc} is degenerate")
+        store = self._bases
+        if cones is None:
+            if len(store) == len(self.maxcones):
+                return store
+            cones = self.maxcones
+        else:
+            # the store holds maximal cones only, so its size tells when it is full
+            cones = dict.fromkeys(cones)
+            for mc in cones:
+                if mc not in self._maxset:
+                    raise FanError(f"{mc} is not a maximal cone of the fan")
+        missing = [mc for mc in cones if mc not in store]
+        if not missing:
+            return store
+        rays = self.rays
+        matrices = [(rays[i - 1], rays[j - 1], rays[k - 1], rays[l - 1]) for i, j, k, l in missing]
+        for mc, (adj, det) in zip(missing, adjugates4(matrices)):
             if det == 1:
                 duals = adj
             elif det == -1:
-                duals = tuple((-x0, -x1, -x2, -x3) for x0, x1, x2, x3 in adj)
-            else:
+                (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = adj
+                duals = ((-a0, -a1, -a2, -a3), (-b0, -b1, -b2, -b3), (-c0, -c1, -c2, -c3), (-d0, -d1, -d2, -d3))
+            elif det:
                 duals = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
-            entry = self._bases[mc] = (duals, det)
-        return entry
+            else:
+                duals = None
+            store[mc] = (duals, det)
+        return store
 
-    @cached_property
-    def _cone_duals(self) -> tuple[tuple[Cone, tuple], ...]:
-        # (mc, duals) for every maximal cone in order, built on first use,
-        # never by __init__; the table behind containing_cones
-        return tuple((mc, self.cone_basis(mc)[0]) for mc in self.maxcones)
+    def cone_basis(self, mc: Cone) -> tuple:
+        """``(duals, det)`` of the maximal cone ``mc``, as :meth:`cone_bases`
+        stores it, computed as a batch of one when the store lacks it. Raises
+        :class:`FanError` naming the cone when it is degenerate (``det`` 0)
+        or not a maximal cone.
+        """
+        entry = self._bases.get(mc) or self.cone_bases((mc,))[mc]
+        if not entry[1]:
+            raise FanError(f"cone {mc} is degenerate")
+        return entry
 
     def dual(self, w: int, cone: Cone):
         """A functional equal to 1 on ray ``w`` and 0 on the rest of ``cone``.
@@ -216,37 +245,62 @@ class Fan:
             raise FanError(f"{cone} is not a cone of the fan")
         return self.cone_basis(mc)[0][mc.index(w)]
 
-    def wall_relation(self, tau: Cone) -> dict:
-        """The wall relation of the sorted 3-cone ``tau``, as coordinates.
+    def wall_relations(self, walls: Iterable[Cone] | None = None) -> dict[Cone, dict]:
+        """The store of wall relations, filled for the sorted 3-cones ``walls``
+        (default: every wall, in :attr:`cones3` order) in one batch and
+        returned whole.
 
         With neighbours a < b in :attr:`walls`, ``tau + a`` is the maximal
         cone holding ``tau`` (at the first place where the two sorted cones
-        differ, one has a and the other a larger ray). The result maps each
-        ray k of ``tau + a`` to the coordinate x_k in ``v_b = sum_k x_k v_k``.
-        The cones lie on opposite sides of ``tau`` exactly when x_a < 0, and
-        x_w for w in ``tau`` gives the curve numbers (:meth:`curve_numbers`).
-        Computed once per wall. Raises :class:`FanError` when ``tau`` is not
-        a 3-cone of the fan, lies in other than two maximal cones, or
-        ``tau + a`` is degenerate.
+        differ, one has a and the other a larger ray). The relation of
+        ``tau`` maps each ray k of ``tau + a`` to the coordinate x_k in
+        ``v_b = sum_k x_k v_k``. The cones lie on opposite sides of ``tau``
+        exactly when x_a < 0, and x_w for w in ``tau`` gives the curve
+        numbers (:meth:`curve_numbers`). The bases of the holders come from
+        :meth:`cone_bases` in one call, and each relation is computed once
+        per fan. Raises :class:`FanError` at the first wall, in the order
+        given, that is not a 3-cone of the fan, lies in other than two
+        maximal cones, or has a degenerate holder; the walls before it stay
+        stored.
         """
-        x = self._relations.get(tau)
-        if x is None:
-            link = self.walls.get(tau)
+        store = self._relations
+        links = self.walls
+        container = self._container
+        if walls is None:
+            if len(store) == len(links):
+                return store
+            todo = [tau for tau in self.cones3 if tau not in store]
+            bases = self.cone_bases()
+        else:
+            todo = [tau for tau in walls if tau not in store]
+            bases = self.cone_bases([container[tau] for tau in todo if tau in links])
+        rays = self.rays
+        for tau in todo:
+            link = links.get(tau)
             if link is None:
                 raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
             if len(link) != 2:
                 raise FanError(f"wall {tau} lies in {len(link)} maximal cone(s)")
-            mc = self._container[tau]
+            mc = container[tau]
+            duals, det = bases[mc]
+            if not det:
+                raise FanError(f"cone {mc} is degenerate")
             k0, k1, k2, k3 = mc
-            u0, u1, u2, u3 = self.cone_basis(mc)[0]
-            v0, v1, v2, v3 = self.rays[link[1] - 1]
-            x = self._relations[tau] = {
-                k0: u0[0] * v0 + u0[1] * v1 + u0[2] * v2 + u0[3] * v3,
-                k1: u1[0] * v0 + u1[1] * v1 + u1[2] * v2 + u1[3] * v3,
-                k2: u2[0] * v0 + u2[1] * v1 + u2[2] * v2 + u2[3] * v3,
-                k3: u3[0] * v0 + u3[1] * v1 + u3[2] * v2 + u3[3] * v3,
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = duals
+            v0, v1, v2, v3 = rays[link[1] - 1]
+            store[tau] = {
+                k0: a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3,
+                k1: b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3,
+                k2: c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
+                k3: d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
             }
-        return x
+        return store
+
+    def wall_relation(self, tau: Cone) -> dict:
+        """The wall relation of the sorted 3-cone ``tau``, as
+        :meth:`wall_relations` stores it, computed as a batch of one when the
+        store lacks it. Raises as :meth:`wall_relations` does."""
+        return self._relations.get(tau) or self.wall_relations((tau,))[tau]
 
     def curve_numbers(self, tau: Cone) -> dict:
         """Intersection numbers of the invariant divisors with the curve of wall ``tau``.
@@ -491,14 +545,19 @@ def containing_cones(fan: Fan, point: Sequence[int]) -> Iterator[tuple[Cone, tup
     ``mc``, all nonnegative. Each is one unrolled integer dot product with a
     row of the cone's dual basis (integers on a unimodular cone, ``Fraction``
     on any other nondegenerate one), and a cone is left at its first
-    negative coordinate. The dual bases come from a per-fan table built on
-    first use, which raises :class:`FanError` on a degenerate cone. This is
-    the one place that decides whether a maximal cone holds a point:
-    :func:`primitive_relation` and the overlap check of :func:`validate_fan`
-    both ask it.
+    negative coordinate. The dual bases are read from the fan's store
+    (:meth:`Fan.cone_bases`, one call), and a degenerate cone raises
+    :class:`FanError` when the scan reaches it. This is the one place that
+    decides whether a maximal cone holds a point: :func:`primitive_relation`
+    and the overlap check of :func:`validate_fan` both ask it.
     """
     p0, p1, p2, p3 = point
-    for mc, (u0, u1, u2, u3) in fan._cone_duals:
+    bases = fan.cone_bases()
+    for mc in fan.maxcones:
+        duals, det = bases[mc]
+        if not det:
+            raise FanError(f"cone {mc} is degenerate")
+        u0, u1, u2, u3 = duals
         c0 = u0[0] * p0 + u0[1] * p1 + u0[2] * p2 + u0[3] * p3
         if c0 < 0:
             continue
@@ -563,22 +622,26 @@ def validate_fan(fan: Fan) -> FanReport:
     passed, so never on a fan with a degenerate maximal cone. Failures are
     reported, never raised, and a degenerate cone is reported once.
 
-    The pairing check reads :attr:`Fan.walls`. The side test reads
-    :meth:`Fan.wall_relation`: the cones lie on opposite sides exactly when
-    v_b has a negative coordinate x_a over the generators of ``wall + a``.
-    The point check asks :func:`containing_cones`.
+    Each kernel runs once per fan, as one batch: :meth:`Fan.cone_bases`
+    over all maximal cones gives the determinants, then, when every cone is
+    nondegenerate and every wall lies in two cones, :meth:`Fan.wall_relations`
+    over all walls gives the side test. The pairing check reads
+    :attr:`Fan.walls`. The cones of a wall lie on opposite sides exactly
+    when v_b has a negative coordinate x_a over the generators of
+    ``wall + a``. The point check asks :func:`containing_cones`, which reads
+    the filled bases. The fan keeps both stores, so later readers (the Fano
+    check, ch2) compute neither again.
     """
     problems = []
     simplicial_ok = True
     smooth = True
+    bases = fan.cone_bases()
     for mc in fan.maxcones:
-        try:
-            _, d = fan.cone_basis(mc)
-        except FanError as exc:
+        d = bases[mc][1]
+        if not d:
             simplicial_ok = smooth = False
-            problems.append(str(exc))
-            continue
-        if abs(d) != 1:
+            problems.append(f"cone {mc} is degenerate")
+        elif abs(d) != 1:
             smooth = False
             problems.append(f"cone {mc} has determinant {d}")
 
@@ -588,9 +651,10 @@ def validate_fan(fan: Fan) -> FanReport:
         if len(walls[wall]) != 2:
             gaps.append(f"wall {wall} lies in {len(walls[wall])} maximal cone(s)")
     if simplicial_ok and not gaps:
+        relations = fan.wall_relations()
         for wall in fan.cones3:
             a, b = walls[wall]
-            if fan.wall_relation(wall)[a] >= 0:
+            if relations[wall][a] >= 0:
                 cone_a, cone_b = _cone(wall + (a,)), _cone(wall + (b,))
                 gaps.append(f"cones {cone_a} and {cone_b} lie on one side of wall {wall}")
         first = fan.maxcones[0]

@@ -469,8 +469,8 @@ def test_the_curve_criterion_agrees_with_the_relation_criterion(database):
         for keep_collections in (True, False):
             assert verdicts(_lattice_image(rec, rng, keep_collections)) == (True, True), rec.name
 
-    # P(O + O(2)) and P(O + O(3)) over P3: smooth and complete, and the
-    # relation v5 + v6 = k v1 has degree 2 - k
+    # P(O + O + O + O(2)) and P(O + O + O + O(3)) over P1: smooth and
+    # complete, and the relation v5 + v6 = k v1 has degree 2 - k
     for sixth_ray, degree in (((2, 0, 0, -1), 0), ((3, 0, 0, -1), -1)):
         rec = _bundle(sixth_ray)
         assert verdicts(rec) == (False, False), sixth_ray

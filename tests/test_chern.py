@@ -85,11 +85,11 @@ class CountedWrites(dict):
 
 def test_classify_reads_the_wall_relations_that_validation_cached(database, monkeypatch):
     calls = Counter()
-    adjugate4 = toricfano.fan.adjugate4
+    adjugates4 = toricfano.fan.adjugates4
 
-    def counted(*args):
-        calls["adjugate4"] += 1
-        return adjugate4(*args)
+    def counted(matrices):
+        calls["adjugates4"] += len(matrices)
+        return adjugates4(matrices)
 
     fans = []
     for name in ("H1", "M5", "124"):
@@ -99,11 +99,24 @@ def test_classify_reads_the_wall_relations_that_validation_cached(database, monk
         assert validate_fan(fan).ok
         assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1))
         fans.append(fan)
-    monkeypatch.setattr(toricfano.fan, "adjugate4", counted)
+    monkeypatch.setattr(toricfano.fan, "adjugates4", counted)
     for fan in fans:
         assert len(classify(fan).values) == len(fan.cones2)
         assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1))
     assert calls == {}
+
+
+def test_a_single_surface_fills_only_the_stores_around_it(fans):
+    # ch2 --surface answers from the walls around sigma, never a full table
+    for name in ("H1", "124"):
+        fan = fans[name]
+        holder = fan.tables.faces
+        for sigma in fan.cones2:
+            cold = Fan(fan.rays, fan.tables)
+            ch2_dot_surface(cold, sigma)
+            walls = {tau for tau in fan.cones3 if set(sigma) <= set(tau)}
+            assert set(cold._relations) == walls, (name, sigma)
+            assert set(cold._bases) == {holder[tau] for tau in walls} | {holder[sigma]}, (name, sigma)
 
 
 @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unvalidated"])

@@ -283,7 +283,13 @@ def test_single_surface_query_computes_only_the_cone_bases_it_reads(monkeypatch,
         return wrapper
 
     monkeypatch.setattr(atlas, "_last_analysis", None)
-    monkeypatch.setattr(fan, "adjugate4", counted("adjugate4", fan.adjugate4))
+    adjugates4 = fan.adjugates4
+
+    def counted_bases(matrices):
+        calls["bases"] += len(matrices)
+        return adjugates4(matrices)
+
+    monkeypatch.setattr(fan, "adjugates4", counted_bases)
     for name, home in (("validate_fan", fan), ("classify", chern)):
         wrapped = counted(name, getattr(home, name))
         for module in (fan, atlas, chern):
@@ -294,7 +300,7 @@ def test_single_surface_query_computes_only_the_cone_bases_it_reads(monkeypatch,
         code, out, _ = run(capsys, "ch2", name, "--surface", "{},{}".format(*surface))
         assert (code, out) == (0, value + "\n")
         walls = [tau for tau in atlas.record_fan(database.lookup(name)).walls if set(surface) <= set(tau)]
-        assert calls["adjugate4"] <= 1 + len(walls), (name, calls)
+        assert calls["bases"] <= 1 + len(walls), (name, calls)
         assert calls["validate_fan"] == calls["classify"] == 0, (name, calls)
 
 
@@ -618,7 +624,7 @@ NON_FANO_BUNDLE = (
 
 
 def test_validate_and_show_name_the_wall_of_a_non_fano_record(tmp_path, capsys):
-    # P(O + O(3)) over P3 is smooth and complete, and -K . V((1, 2, 3)) = -1
+    # P(O + O + O + O(3)) over P1 is smooth and complete, and -K . V((1, 2, 3)) = -1
     db = tmp_path / "bundle.txt"
     db.write_text(NON_FANO_BUNDLE)
     code, out, err = run(capsys, "validate", str(db))
@@ -627,8 +633,9 @@ def test_validate_and_show_name_the_wall_of_a_non_fano_record(tmp_path, capsys):
     assert err == "B: anticanonical degree -1 on the curve of wall (1, 2, 3)\n"
     code, out, err = run(capsys, "--db", str(db), "show", "B")
     assert (code, err) == (0, "")
+    # its primitive relations exist, and the first one is the one at fault
     assert out.splitlines()[-3:] == [
-        "  (relations unavailable: anticanonical degree -1 on the curve of wall (1, 2, 3))",
-        "    {5, 6}",
-        "    {1, 2, 3, 4}",
+        "  (not Fano: anticanonical degree -1 on the curve of wall (1, 2, 3))",
+        "    {5, 6}: v5 + v6 = 3*v1  degree -1",
+        "    {1, 2, 3, 4}: v1 + v2 + v3 + v4 = 0  degree 4",
     ]

@@ -6,7 +6,7 @@ import pytest
 from helpers import brute_force_nonfaces, face_fan_by_subsets, face_table_by_subsets, is_fano, wall_curve_oracle
 
 from toricfano import fan as fan_module
-from toricfano.exactlin import adjugate4, dot, solve
+from toricfano.exactlin import adjugates4, dot, solve
 from toricfano.fan import (
     Fan,
     FanError,
@@ -36,7 +36,7 @@ H1_COLLECTIONS = ((1, 2), (7, 8), (1, 6), (2, 7), (6, 8), (3, 4, 5))
 
 P4_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
 
-# projectivized rank-2 bundle over 3-space with a twist: smooth, complete,
+# P(O + O + O + O(2)) over P1, with v5 + v6 = 2 v1: smooth, complete,
 # one relation of degree zero, so Fano fails
 BUNDLE_RAYS = (
     (1, 0, 0, 0),
@@ -200,6 +200,18 @@ def test_non_unimodular_cone_keeps_its_checks():
         build_fan_from_rays(WP_RAYS)
 
 
+def test_cone_basis_refuses_a_cone_that_is_not_maximal(h1):
+    fan = Fan(h1.rays, h1.tables)
+    for mc in fan.maxcones[1:]:
+        fan.cone_basis(mc)
+    # (1, 2, 3, 4) contains the primitive collection {1, 2} of H1
+    with pytest.raises(FanError, match=r"^\(1, 2, 3, 4\) is not a maximal cone of the fan$"):
+        fan.cone_basis((1, 2, 3, 4))
+    # the store stays one of maximal cones, so the full fill still completes it
+    assert list(fan.cone_bases()) == list(fan.maxcones[1:] + fan.maxcones[:1])
+    assert validate_fan(fan).ok
+
+
 # v3 = v1 + v2, so the cones (1, 2, 3, 4) and (1, 2, 3, 5) are degenerate
 DEGENERATE_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
 
@@ -315,13 +327,15 @@ def test_face_fan_search_matches_the_per_subset_adjugate_rule(database, monkeypa
 
 
 def test_cone_bases_call_the_adjugate_and_the_face_fan_search_does_not(database, monkeypatch):
-    calls = []
-    monkeypatch.setattr(fan_module, "adjugate4", lambda cols: calls.append(cols) or adjugate4(cols))
+    batches = []
+    monkeypatch.setattr(fan_module, "adjugates4", lambda matrices: batches.append(matrices) or adjugates4(matrices))
     rays = database.lookup("124").rays
     fan = build_fan_from_rays(rays)
-    # validation reads one cone basis per maximal cone, the 4-subsets none
-    assert len(calls) == len(fan.maxcones) < len(list(itertools.combinations(rays, 4)))
-    assert calls == [[fan.ray(i) for i in mc] for mc in fan.maxcones]
+    # validation reads one cone basis per maximal cone, in one batch, and
+    # the 4-subsets none
+    assert len(batches) == 1
+    assert len(batches[0]) == len(fan.maxcones) < len(list(itertools.combinations(rays, 4)))
+    assert batches[0] == [tuple(fan.ray(i) for i in mc) for mc in fan.maxcones]
 
 
 H1_RELATIONS = (

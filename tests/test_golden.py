@@ -41,3 +41,55 @@ def test_output_matches_its_pinned_hash(fmt, command, capsys):
     captured = capsys.readouterr()
     blob = f"{code}\0{captured.out}\0{captured.err}".encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[fmt, command]
+
+
+# P(1,1,1,1,2), whose cone (1, 2, 3, 5) has determinant -2, and a fan with
+# v3 = v1 + v2, whose cones (1, 2, 3, 4) and (1, 2, 3, 5) are degenerate
+REJECTED_EXAMPLES = (
+    ("wp11112", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -2))),
+    ("degenerate", ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))),
+)
+
+# validate on the atlas of rejected_atlas(), recorded before the fan
+# validator read its cone bases and wall relations in batches
+REJECTIONS_GOLDEN = "ac8a792c780b8af6daa65e551ff4f952c5dc1fba8c5bcf220aa84cf2821c298a"
+
+
+def rejected_atlas():
+    """For each shipped record with declared collections, its first ray swap
+    (i < j in lexicographic order) whose fan the validator rejects, then the
+    two examples above."""
+    from toricfano.atlas import AtlasDatabase, VarietyRecord, shipped_database
+    from toricfano.fan import build_fan, validate_fan
+
+    records = []
+    for rec in shipped_database():
+        if rec.collections is None or rec.collections_derived:
+            continue
+        for i in range(1, len(rec.rays)):
+            for j in range(i + 1, len(rec.rays) + 1):
+                rays = list(rec.rays)
+                rays[i - 1], rays[j - 1] = rays[j - 1], rays[i - 1]
+                if not validate_fan(build_fan(rays, rec.collections)).ok:
+                    records.append(VarietyRecord(f"s_{rec.name}_{i}_{j}", tuple(rays), rec.collections))
+                    break
+            else:
+                continue
+            break
+    records += [VarietyRecord(name, rays, ((1, 2, 3, 4, 5),)) for name, rays in REJECTED_EXAMPLES]
+    return AtlasDatabase(tuple(records))
+
+
+def test_validate_rejection_messages_match_their_pinned_hash(tmp_path, capsys):
+    from toricfano.atlas import render
+
+    atlas = rejected_atlas()
+    # P4 is the one record whose every swap keeps a valid fan
+    assert len(atlas) == 65 + 2
+    path = tmp_path / "rejected.txt"
+    path.write_text(render(atlas), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    blob = f"{code}\0{captured.out}\0{captured.err}".encode()
+    assert hashlib.sha256(blob).hexdigest() == REJECTIONS_GOLDEN
