@@ -10,7 +10,6 @@ front end (``toricfano``).
 from .atlas import (
     AtlasDatabase,
     AtlasParseError,
-    REFERENCE_TABLE,
     VarietyAnalysis,
     VarietyRecord,
     analyse,
@@ -22,12 +21,10 @@ from .atlas import (
 )
 from .chern import (
     Ch2Report,
-    anticanonical_degree,
     ch2_dot_surface,
     classify,
     divisor_dot_curve,
     divisor_dot_surface,
-    dual_functional,
 )
 from .fan import (
     Fan,
@@ -43,3 +40,11 @@ from .fan import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Forward ``REFERENCE_TABLE`` from :mod:`toricfano.atlas`, which builds
+    it on first access."""
+    if name == "REFERENCE_TABLE":
+        return atlas.REFERENCE_TABLE
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, NoReturn
 
 from .chern import Ch2Report, classify
 from .fan import (
@@ -38,7 +38,11 @@ from .fan import (
     validate_fan,
 )
 
-LatticePoint = tuple[int, int, int, int]
+# true for a type checker only: typing is slow to import and needed for
+# annotations alone
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 # A smooth Fano d-polytope has at most 3d vertices (Casagrande, Ann. Inst.
 # Fourier 56, 2006), so a record with more rays is rejected unbuilt.
@@ -70,11 +74,16 @@ def _echo(text: str) -> str:
     return text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
 
 
-class VarietyRecord(NamedTuple):
-    name: str
-    rays: tuple[LatticePoint, ...]
-    collections: tuple[tuple[int, ...], ...] | None = None
-    collections_derived: bool = False
+class VarietyRecord(
+    namedtuple("VarietyRecord", "name rays collections collections_derived", defaults=(None, False))
+):
+    """One record of an atlas: its ``name``, its ``rays`` (a tuple of
+    integer 4-tuples), its ``collections`` (a tuple of ascending 1-based ray
+    index tuples, or ``None`` when the record has no collections section)
+    and ``collections_derived``, true when the collections were derived from
+    the rays on load instead of read."""
+
+    __slots__ = ()
 
 
 class AtlasDatabase:
@@ -260,10 +269,13 @@ def render(db: AtlasDatabase) -> str:
 class VarietyAnalysis:
     """What is computed about one record, each part on first use.
 
-    The fan is built once, and its minimal non-faces are computed once; the
-    validation report, the collection lines of ``toricfano show`` and the
-    ch2 report all read them. ``fan`` raises :class:`FanError` when the
-    record does not describe a fan, ``report`` never raises.
+    The fan is built once, and the validation report and the ch2 report
+    read it. Its minimal non-faces are computed at most once: the round
+    trip of declared collections and the collection lines that ``toricfano
+    show`` derives for a record without any read them, and a record without
+    declared collections is validated without them. ``fan`` raises
+    :class:`FanError` when the record does not describe a fan, ``report``
+    never raises.
 
     The Fano check reads the wall relations that :func:`validate_fan` has
     stored, with one :meth:`Fan.wall_relations` call. A complete toric
@@ -351,10 +363,10 @@ class VarietyAnalysis:
             if not fan_report.ok:
                 return
 
-        derived = frozenset(self.nonfaces)
         if rec.collections is None or rec.collections_derived:
             report.round_trip = True
         else:
+            derived = frozenset(self.nonfaces)
             declared = frozenset(tuple(c) for c in rec.collections)
             report.round_trip = declared == derived
             if not report.round_trip:
@@ -439,7 +451,8 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
 
     Smooth and complete come from the fan validator; round-trip demands the
     declared collections equal the minimal non-faces of the built fan (it is
-    vacuous for records whose collections were derived in the first place);
+    vacuous, and no minimal non-face is searched for, on records without
+    collections or whose collections were derived in the first place);
     the Fano check requires -K to have positive degree on the curve of every
     wall (the toric Kleiman criterion, Cox-Little-Schenck, Thm 6.3.13; on a
     smooth complete fan, Batyrev's criterion that every primitive relation
@@ -497,76 +510,91 @@ def shipped_database() -> AtlasDatabase:
 
 # Reference rows transcribed verbatim from the source table: variety name, a
 # distinguished invariant surface (pair of 1-based ray indices), and the
-# printed exact value of ch2 of the tangent bundle on it. Every value is
-# nonpositive, which is what rules the variety out as 2-Fano. One row is a
-# misprint kept as printed: H2 at V(3,4) reads -1, but H2's own rays force
-# -3/2, the value the table gives for H1 (which matches H2 term for term on
-# that surface). `paper-table` reports it as a mismatch.
-REFERENCE_TABLE: tuple[tuple[str, tuple[int, int], Fraction], ...] = (
-    ("E1", (2, 3), Fraction(-2)),
-    ("E2", (2, 3), Fraction(-3, 2)),
-    ("E3", (2, 3), Fraction(-1)),
-    ("G1", (1, 5), Fraction(-1, 2)),
-    ("G2", (1, 5), Fraction(-2)),
-    ("G3", (1, 5), Fraction(-1)),
-    ("G4", (1, 5), Fraction(-1, 2)),
-    ("G5", (2, 5), Fraction(-2)),
-    ("G6", (2, 5), Fraction(-3, 2)),
-    ("H1", (3, 4), Fraction(-3, 2)),
-    ("H2", (3, 4), Fraction(-1)),
-    ("H3", (3, 4), Fraction(-3, 2)),
-    ("H4", (3, 4), Fraction(-3, 2)),
-    ("H5", (3, 4), Fraction(-3, 2)),
-    ("H6", (3, 4), Fraction(-3, 2)),
-    ("H7", (3, 4), Fraction(-3, 2)),
-    ("H9", (3, 4), Fraction(-3, 2)),
-    ("H10", (3, 4), Fraction(-3, 2)),
-    ("I1", (1, 4), Fraction(-3, 2)),
-    ("I2", (1, 4), Fraction(-3, 2)),
-    ("I3", (1, 4), Fraction(-3, 2)),
-    ("I4", (1, 4), Fraction(-3, 2)),
-    ("I5", (1, 4), Fraction(-3, 2)),
-    ("I6", (1, 4), Fraction(-3, 2)),
-    ("I8", (1, 4), Fraction(-3, 2)),
-    ("I9", (1, 4), Fraction(-3, 2)),
-    ("I10", (1, 4), Fraction(-3, 2)),
-    ("I12", (1, 4), Fraction(-3, 2)),
-    ("I14", (1, 4), Fraction(-3, 2)),
-    ("I15", (1, 4), Fraction(-3, 2)),
-    ("J1", (1, 3), Fraction(-1)),
-    ("J2", (1, 3), Fraction(-1, 2)),
-    ("K1", (3, 4), Fraction(-3)),
-    ("K2", (3, 4), Fraction(-3)),
-    ("K3", (3, 4), Fraction(-3)),
-    ("M1", (2, 4), Fraction(-5, 2)),
-    ("M2", (2, 4), Fraction(-5, 2)),
-    ("M3", (2, 4), Fraction(-5, 2)),
-    ("M4", (2, 4), Fraction(-5, 2)),
-    ("M5", (2, 4), Fraction(-3, 2)),
-    ("Q1", (3, 4), Fraction(-3, 2)),
-    ("Q2", (3, 4), Fraction(-3, 2)),
-    ("Q3", (3, 4), Fraction(-3, 2)),
-    ("Q4", (3, 4), Fraction(-3, 2)),
-    ("Q5", (3, 4), Fraction(-3, 2)),
-    ("Q7", (3, 4), Fraction(-3, 2)),
-    ("Q9", (3, 4), Fraction(-3, 2)),
-    ("Q12", (3, 4), Fraction(-3, 2)),
-    ("Q13", (3, 4), Fraction(-3, 2)),
-    ("Q14", (3, 4), Fraction(-3, 2)),
-    ("Q16", (3, 4), Fraction(-3, 2)),
-    ("Q17", (3, 4), Fraction(-3, 2)),
-    ("R1", (1, 3), Fraction(-4)),
-    ("R2", (1, 3), Fraction(-4)),
-    ("R3", (1, 3), Fraction(-4)),
-    ("108", (4, 9), Fraction(-1)),
-    ("U1", (3, 7), Fraction(-1, 2)),
-    ("U2", (3, 7), Fraction(-1, 2)),
-    ("U3", (3, 9), Fraction(-1, 2)),
-    ("U7", (3, 9), Fraction(-1, 2)),
-    ("U8", (3, 9), Fraction(-1, 2)),
-    ("Z1", (1, 3), Fraction(-5, 2)),
-    ("Z2", (1, 3), Fraction(-2)),
-    ("117", (1, 4), Fraction(-5)),
-    ("118", (1, 4), Fraction(-5, 2)),
-    ("124", (1, 7), Fraction(-4)),
+# printed exact value of ch2 of the tangent bundle on it, as numerator and
+# denominator. Every value is nonpositive, which is what rules the variety out
+# as 2-Fano. One row is a misprint kept as printed: H2 at V(3,4) reads -1, but
+# H2's own rays force -3/2, the value the table gives for H1 (which matches H2
+# term for term on that surface). `paper-table` reports it as a mismatch.
+_REFERENCE_ROWS = (
+    ("E1", (2, 3), -2, 1),
+    ("E2", (2, 3), -3, 2),
+    ("E3", (2, 3), -1, 1),
+    ("G1", (1, 5), -1, 2),
+    ("G2", (1, 5), -2, 1),
+    ("G3", (1, 5), -1, 1),
+    ("G4", (1, 5), -1, 2),
+    ("G5", (2, 5), -2, 1),
+    ("G6", (2, 5), -3, 2),
+    ("H1", (3, 4), -3, 2),
+    ("H2", (3, 4), -1, 1),
+    ("H3", (3, 4), -3, 2),
+    ("H4", (3, 4), -3, 2),
+    ("H5", (3, 4), -3, 2),
+    ("H6", (3, 4), -3, 2),
+    ("H7", (3, 4), -3, 2),
+    ("H9", (3, 4), -3, 2),
+    ("H10", (3, 4), -3, 2),
+    ("I1", (1, 4), -3, 2),
+    ("I2", (1, 4), -3, 2),
+    ("I3", (1, 4), -3, 2),
+    ("I4", (1, 4), -3, 2),
+    ("I5", (1, 4), -3, 2),
+    ("I6", (1, 4), -3, 2),
+    ("I8", (1, 4), -3, 2),
+    ("I9", (1, 4), -3, 2),
+    ("I10", (1, 4), -3, 2),
+    ("I12", (1, 4), -3, 2),
+    ("I14", (1, 4), -3, 2),
+    ("I15", (1, 4), -3, 2),
+    ("J1", (1, 3), -1, 1),
+    ("J2", (1, 3), -1, 2),
+    ("K1", (3, 4), -3, 1),
+    ("K2", (3, 4), -3, 1),
+    ("K3", (3, 4), -3, 1),
+    ("M1", (2, 4), -5, 2),
+    ("M2", (2, 4), -5, 2),
+    ("M3", (2, 4), -5, 2),
+    ("M4", (2, 4), -5, 2),
+    ("M5", (2, 4), -3, 2),
+    ("Q1", (3, 4), -3, 2),
+    ("Q2", (3, 4), -3, 2),
+    ("Q3", (3, 4), -3, 2),
+    ("Q4", (3, 4), -3, 2),
+    ("Q5", (3, 4), -3, 2),
+    ("Q7", (3, 4), -3, 2),
+    ("Q9", (3, 4), -3, 2),
+    ("Q12", (3, 4), -3, 2),
+    ("Q13", (3, 4), -3, 2),
+    ("Q14", (3, 4), -3, 2),
+    ("Q16", (3, 4), -3, 2),
+    ("Q17", (3, 4), -3, 2),
+    ("R1", (1, 3), -4, 1),
+    ("R2", (1, 3), -4, 1),
+    ("R3", (1, 3), -4, 1),
+    ("108", (4, 9), -1, 1),
+    ("U1", (3, 7), -1, 2),
+    ("U2", (3, 7), -1, 2),
+    ("U3", (3, 9), -1, 2),
+    ("U7", (3, 9), -1, 2),
+    ("U8", (3, 9), -1, 2),
+    ("Z1", (1, 3), -5, 2),
+    ("Z2", (1, 3), -2, 1),
+    ("117", (1, 4), -5, 1),
+    ("118", (1, 4), -5, 2),
+    ("124", (1, 7), -4, 1),
 )
+
+
+def __getattr__(name: str):
+    """Build ``REFERENCE_TABLE``, the reference rows as (name, surface,
+    ``Fraction``) triples, on its first access, and keep it as a module
+    attribute. It is built lazily because ``fractions`` is slow to import,
+    and ``list``, ``validate`` and ``show`` on a smooth atlas make no
+    ``Fraction``."""
+    if name == "REFERENCE_TABLE":
+        from fractions import Fraction
+
+        table = tuple((variety, surface, Fraction(num, den)) for variety, surface, num, den in _REFERENCE_ROWS)
+        globals()[name] = table
+        return table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

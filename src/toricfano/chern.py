@@ -31,12 +31,17 @@ surfaces settles the question for all surfaces.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from operator import mul
-from typing import Callable, Iterable, NamedTuple
 
-from .exactlin import dot, solve
+from .exactlin import dot
 from .fan import Cone, Fan, _cone
+
+# true for a type checker only, so annotations can name Fraction unimported
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CurveCycle = dict  # 3-cone -> int or Fraction, zero coefficients dropped
 
@@ -47,34 +52,14 @@ NOT_NEF = "not_nef"
 UFunction = Callable[[Fan, int, Cone], tuple]
 
 
-class Ch2Report(NamedTuple):
-    """Second-Chern-character values on every invariant surface of a fan."""
+class Ch2Report(namedtuple("Ch2Report", "values min_value witness classification")):
+    """Second-Chern-character values on every invariant surface of a fan:
+    ``values`` maps each 2-cone to its ``Fraction``, ``min_value`` is the
+    least of them, attained at the 2-cone ``witness``, and
+    ``classification`` is one of :data:`TWO_FANO`,
+    :data:`NEF_NOT_TWO_FANO` and :data:`NOT_NEF`."""
 
-    values: dict[Cone, Fraction]
-    min_value: Fraction
-    witness: Cone
-    classification: str
-
-
-def dual_functional(fan: Fan, w: int, cone: Iterable[int]) -> tuple:
-    """Rational functional equal to 1 on ray ``w``, 0 on the cone's others.
-
-    The cone must be a face containing ``w``. For cones of fewer than four
-    rays the system is underdetermined and the canonical solution is
-    returned (free coordinates zero), deterministic but otherwise arbitrary:
-    downstream intersection numbers do not depend on the choice. The
-    default route takes its functionals from :meth:`Fan.dual` instead; this
-    one serves the reference route of the tests.
-    """
-    cone = _cone(cone)
-    if w not in cone:
-        raise ValueError(f"ray {w} is not a generator of cone {cone}")
-    rows = [fan.ray(j) for j in cone]
-    rhs = [1 if j == w else 0 for j in cone]
-    sol = solve(rows, rhs)
-    if sol is None:
-        raise RuntimeError(f"generators of {cone} are dependent; fan is corrupt")
-    return sol[0]
+    __slots__ = ()
 
 
 def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | None = None) -> int | Fraction:
@@ -143,6 +128,8 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     depends only on that wall and on sigma. With ``u_fn`` the
     divisor-by-divisor route below is taken instead.
     """
+    from fractions import Fraction
+
     sigma = _cone(sigma)
     if u_fn is None:
         return Fraction(_wall_sum(fan, sigma), 2)
@@ -181,20 +168,6 @@ def _wall_sum(fan: Fan, sigma: Cone):
     return total
 
 
-def anticanonical_degree(fan: Fan, tau: Iterable[int]) -> Fraction:
-    """Degree of the anticanonical divisor on the curve of 3-cone ``tau``.
-
-    The anticanonical class is the sum of all invariant divisors, so this is
-    the sum of the divisor-curve numbers; positive on every curve of a Fano
-    fan.
-    """
-    tau = _cone(tau)
-    return sum(
-        (divisor_dot_curve(fan, w, tau) for w in range(1, fan.ray_count + 1)),
-        Fraction(0),
-    )
-
-
 def _classification(min_value: Fraction) -> str:
     if min_value > 0:
         return TWO_FANO
@@ -219,6 +192,8 @@ def classify(fan: Fan) -> Ch2Report:
     sum term for term, in exact arithmetic. The minimum is found on the
     integer sums, which are twice the values.
     """
+    from fractions import Fraction
+
     twice = _surface_sums(fan)
     witness = min(twice, key=twice.__getitem__)
     halves = {total: Fraction(total, 2) for total in set(twice.values())}

@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from .atlas import (
-    REFERENCE_TABLE,
     AtlasParseError,
     analyse,
     parse,
@@ -237,6 +236,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_paper_table(args) -> int:
+    # imported here: the table is built on first access, with fractions
+    from .atlas import REFERENCE_TABLE
+
     db = _load_db(args.db)
     rows = []
     mismatches = []

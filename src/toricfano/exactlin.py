@@ -4,21 +4,27 @@ Everything here is plain Python arithmetic over ``int`` and
 ``fractions.Fraction``, so results are exact by construction: every rational
 is stored in lowest terms with a positive denominator, and there is no
 rounding anywhere. Vectors are tuples, matrices are sequences of row tuples.
+``fractions`` is imported only where a ``Fraction`` is made, since it is slow
+to import and the integer kernels never need it.
 
 Square 4x4 integer systems are handled in integers only: :func:`adjugates4`
 gives the adjugate and the determinant of each matrix of a batch, and the
 adjugate rows divided by the determinant form the dual basis (integral on a
 unimodular matrix); :func:`adjugate4` is its batch of one.
-The rational row reduction behind :func:`solve` and :func:`nullspace` serves
-the general, possibly singular or non-square systems, which never have more
-than four columns here.
+The rational row reduction behind :func:`solve` serves the general, possibly
+singular or non-square systems, which never have more than four columns
+here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
+
+# true for a type checker only, so annotations can name Fraction unimported
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vector = tuple
 Scalar = "int | Fraction"
@@ -127,6 +133,8 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
     ``rank`` is the rank of the coefficient matrix, so callers can detect
     underdetermination via ``rank < ncols``.
     """
+    from fractions import Fraction
+
     if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side have different heights")
     ncols = len(rows[0])
@@ -139,25 +147,3 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
     for i, c in enumerate(pivots):
         x[c] = m[i][ncols]
     return tuple(x), len(pivots)
-
-
-def nullspace(rows: Sequence[Sequence]) -> list[tuple]:
-    """Basis of the solution space of ``A x = 0``.
-
-    One basis vector per free column: the free variable is set to 1, all
-    other free variables to 0, and the pivot variables are back-substituted.
-    Returns an empty list for a full-rank matrix.
-    """
-    ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = _rref(m, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis

@@ -21,8 +21,8 @@ positive degree.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .exactlin import adjugates4, dot, solve
 
@@ -150,6 +150,7 @@ class Fan:
     """
 
     def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone] | FanTables):
+        # the one conversion of the rays per fan: the builders pass them on as given
         self.rays: tuple[LatticePoint, ...] = tuple(tuple(map(int, v)) for v in rays)
         tables = maxcones if isinstance(maxcones, FanTables) else FanTables(maxcones)
         self.tables = tables
@@ -215,6 +216,8 @@ class Fan:
                 (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = adj
                 duals = ((-a0, -a1, -a2, -a3), (-b0, -b1, -b2, -b3), (-c0, -c1, -c2, -c3), (-d0, -d1, -d2, -d3))
             elif det:
+                from fractions import Fraction
+
                 duals = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
             else:
                 duals = None
@@ -327,18 +330,16 @@ class Fan:
         return f"Fan({self.ray_count} rays, {len(self.maxcones)} maximal cones)"
 
 
-class PrimitiveRelation(NamedTuple):
+class PrimitiveRelation(namedtuple("PrimitiveRelation", "collection sigma coeffs degree")):
     """The unique positive expression of ``sum(collection)`` over a cone.
 
-    ``coeffs`` maps generator index to its positive integer coefficient; the
-    generator cone is empty when the rays of the collection sum to zero.
-    ``degree`` is ``len(collection) - sum(coeffs.values())``.
+    ``collection`` and the generator cone ``sigma`` are sorted tuples of ray
+    indices; ``coeffs`` maps generator index to its positive integer
+    coefficient; the generator cone is empty when the rays of the collection
+    sum to zero. ``degree`` is ``len(collection) - sum(coeffs.values())``.
     """
 
-    collection: Cone
-    sigma: Cone
-    coeffs: dict[int, int]
-    degree: int
+    __slots__ = ()
 
     def describe(self) -> str:
         """The relation as ``toricfano show`` prints it, e.g.
@@ -349,13 +350,12 @@ class PrimitiveRelation(NamedTuple):
         return f"{{{members}}}: {lhs} = {rhs or '0'}  degree {self.degree}"
 
 
-class FanReport(NamedTuple):
-    """Validation outcome, with one message per failed condition."""
+class FanReport(namedtuple("FanReport", "smooth complete simplicial_ok problems")):
+    """Validation outcome, with one message per failed condition: the flags
+    ``smooth``, ``complete`` and ``simplicial_ok``, and the list of
+    ``problems``."""
 
-    smooth: bool
-    complete: bool
-    simplicial_ok: bool
-    problems: list[str]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -390,7 +390,6 @@ def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]
     no collection as a subset, tested on bitmasks of ray indices. Raises
     :class:`FanError` for collections with duplicate or out-of-range indices.
     """
-    rays = tuple(tuple(v) for v in rays)
     masks = [sum(1 << i for i in c) for c in _check_collections(collections, len(rays))]
     indices = range(1, len(rays) + 1)
     subsets = itertools.combinations(indices, DIM)
@@ -444,7 +443,6 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
     set of a suitable polytope and :class:`FanError` is raised, naming at
     most :data:`MAX_PROBLEMS` of the problems.
     """
-    rays = tuple(tuple(v) for v in rays)
     n = len(rays)
     table = _triple_functionals(rays)
     maxcones = []
@@ -593,7 +591,7 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
     if not seen:
         raise FanError(f"no containing cone for the ray sum of {coll}")
     if len(seen) > 1:
-        found = sorted((tuple(i for i, _ in pairs), tuple(Fraction(v) for _, v in pairs)) for pairs in seen)
+        found = sorted((tuple(i for i, _ in pairs), tuple(v for _, v in pairs)) for pairs in seen)
         cones = "; ".join(f"{cone} with coefficients {', '.join(map(str, coeffs))}" for cone, coeffs in found)
         raise FanError(f"ambiguous minimal cone for {coll}: {cones}")
     (pairs,) = seen

@@ -1,16 +1,17 @@
 """Shared test machinery: the primitive-relation Fano criterion,
 functional perturbations, independent divisor-curve and ch2 oracles built
 on wall relations only, reference versions of the face table, the face-fan
-and the non-face searches, a cofactor 4x4 determinant, and the errata of
-the reference table."""
+and the non-face searches, a cofactor 4x4 determinant, the rational
+null space, the solved dual functional, the anticanonical degree of a
+curve, and the errata of the reference table."""
 
 import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from toricfano.chern import dual_functional
-from toricfano.exactlin import adjugate4, dot, nullspace, solve
-from toricfano.fan import Fan, minimal_nonfaces, primitive_relation
+from toricfano.chern import divisor_dot_curve
+from toricfano.exactlin import _rref, adjugate4, dot, solve
+from toricfano.fan import Fan, _cone, minimal_nonfaces, primitive_relation
 
 
 def _det3(a, b, c) -> int:
@@ -41,6 +42,64 @@ def det4(rows) -> int:
             total += sign * r0[j] * _det3(_drop(r1, j), _drop(r2, j), _drop(r3, j))
         sign = -sign
     return total
+
+
+def nullspace(rows) -> list[tuple]:
+    """Basis of the solution space of ``A x = 0``.
+
+    One basis vector per free column: the free variable is set to 1, all
+    other free variables to 0, and the pivot variables are back-substituted.
+    Returns an empty list for a full-rank matrix.
+    """
+    ncols = len(rows[0])
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = _rref(m, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def dual_functional(fan, w, cone) -> tuple:
+    """Rational functional equal to 1 on ray ``w``, 0 on the cone's others.
+
+    The cone must be a face containing ``w``. For cones of fewer than four
+    rays the system is underdetermined and the canonical solution is
+    returned (free coordinates zero), deterministic but otherwise arbitrary:
+    downstream intersection numbers do not depend on the choice. The
+    library's default route takes its functionals from
+    :meth:`toricfano.fan.Fan.dual` instead; this one serves the reference
+    route (the ``u_fn`` argument of :mod:`toricfano.chern`).
+    """
+    cone = _cone(cone)
+    if w not in cone:
+        raise ValueError(f"ray {w} is not a generator of cone {cone}")
+    rows = [fan.ray(j) for j in cone]
+    rhs = [1 if j == w else 0 for j in cone]
+    sol = solve(rows, rhs)
+    if sol is None:
+        raise RuntimeError(f"generators of {cone} are dependent; fan is corrupt")
+    return sol[0]
+
+
+def anticanonical_degree(fan, tau) -> Fraction:
+    """Degree of the anticanonical divisor on the curve of 3-cone ``tau``.
+
+    The anticanonical class is the sum of all invariant divisors, so this is
+    the sum of the divisor-curve numbers; positive on every curve of a Fano
+    fan.
+    """
+    tau = _cone(tau)
+    return sum(
+        (divisor_dot_curve(fan, w, tau) for w in range(1, fan.ray_count + 1)),
+        Fraction(0),
+    )
 
 
 def is_fano(fan) -> bool:

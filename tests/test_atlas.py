@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from toricfano.atlas import (
     REFERENCE_TABLE,
     AtlasParseError,
+    VarietyRecord,
     parse,
     render,
     shipped_database,
@@ -207,6 +210,40 @@ def test_shipped_database_has_67_unique_records(database):
     assert len(set(names)) == 67
     assert names[0] == "P4"
     assert set(names) == {name for name, _, _ in REFERENCE_TABLE} | {"P4"}
+
+
+def test_reference_table_is_one_table_of_fractions():
+    import toricfano
+    from toricfano import atlas
+
+    assert toricfano.REFERENCE_TABLE is atlas.REFERENCE_TABLE is REFERENCE_TABLE
+    # built once, then a plain module attribute
+    assert vars(atlas)["REFERENCE_TABLE"] is REFERENCE_TABLE
+    assert len(REFERENCE_TABLE) == 66
+    for name, surface, value in REFERENCE_TABLE:
+        assert type(value) is Fraction and value <= 0
+        assert len(surface) == 2 and isinstance(name, str)
+    rows = {name: (surface, value) for name, surface, value in REFERENCE_TABLE}
+    assert rows["E2"] == ((2, 3), Fraction(-3, 2))
+    assert rows["H2"] == ((3, 4), Fraction(-1))  # the misprint, kept as printed
+    assert rows["124"] == ((1, 7), Fraction(-4))
+    for module in (toricfano, atlas):
+        with pytest.raises(AttributeError, match="no attribute 'NO_SUCH_TABLE'"):
+            getattr(module, "NO_SUCH_TABLE")
+
+
+def test_variety_record_keeps_its_fields_defaults_replace_and_repr():
+    rec = VarietyRecord("X", ((1, 0, 0, 0),))
+    assert VarietyRecord._fields == ("name", "rays", "collections", "collections_derived")
+    assert VarietyRecord._field_defaults == {"collections": None, "collections_derived": False}
+    assert rec == ("X", ((1, 0, 0, 0),), None, False)
+    assert repr(rec) == "VarietyRecord(name='X', rays=((1, 0, 0, 0),), collections=None, collections_derived=False)"
+    derived = rec._replace(collections=((1,),), collections_derived=True)
+    assert type(derived) is VarietyRecord
+    assert (derived.name, derived.collections, derived.collections_derived) == ("X", ((1,),), True)
+    assert rec.collections is None
+    with pytest.raises(AttributeError):
+        rec.extra = 1
 
 
 def test_shipped_database_spot_checks(database):

@@ -267,6 +267,33 @@ def test_show_derives_the_relations_of_a_record_without_collections(tmp_path, ca
     assert out.splitlines()[-1].startswith("  (relations unavailable: not a Fano face fan: wall (1, 2, 3)")
 
 
+def test_validation_skips_the_non_face_search_where_the_round_trip_is_vacuous(tmp_path, monkeypatch, capsys):
+    from toricfano import atlas
+    from toricfano.atlas import AtlasDatabase, validate_record
+
+    database = shipped_database()  # loaded, M5 derived, before anything is counted
+    searched = []
+    search = atlas.minimal_nonfaces
+    monkeypatch.setattr(atlas, "minimal_nonfaces", lambda built: searched.append(built.rays) or search(built))
+    monkeypatch.setattr(atlas, "_last_analysis", None)
+    p4 = database.lookup("P4")._replace(collections=None)
+    # without collections, or with derived ones, the round trip holds unsearched
+    for rec in (p4, database.lookup("M5")):
+        report = validate_record(rec)
+        assert report.ok and report.round_trip
+    assert searched == []
+    # show derives the collections it prints
+    path = tmp_path / "no-collections.txt"
+    path.write_text(render(AtlasDatabase((p4,))))
+    code, out, err = run(capsys, "--db", str(path), "show", "P4")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "  collections (derived):",
+        "    {1, 2, 3, 4, 5}: v1 + v2 + v3 + v4 + v5 = 0  degree 5",
+    ]
+    assert searched == [p4.rays]
+
+
 def test_single_surface_query_computes_only_the_cone_bases_it_reads(monkeypatch, capsys):
     from collections import Counter
 
@@ -435,10 +462,13 @@ def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
     rays = Counter(tuple(tuple(v) for v in rec.rays) for rec in database)
     types = Counter({(len(rec.rays), rec.collections): 1 for rec in database})
     nonfaces = Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"})
-    # every record gets one fan and asks for its non-faces once, and each
-    # combinatorial type builds its tables once
+    declared = Counter(tuple(tuple(v) for v in rec.rays) for rec in database if not rec.collections_derived)
+    # every record gets one fan, asks for its non-faces once when its
+    # collections were declared (M5's were derived, so its round trip is
+    # vacuous and it never asks), and each combinatorial type builds its
+    # tables once
     assert fans == rays
-    assert nonfaces == rays
+    assert nonfaces == declared and len(declared) == 66
     assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
     assert len(types) == 17
     assert not any(name == "build_fan_from_rays" for name, _ in calls)

@@ -252,6 +252,14 @@ def test_degree_zero_relation_is_not_fano():
     assert not is_fano(fan)
 
 
+def test_every_fan_holds_its_rays_as_integer_tuples(h1):
+    # the builders pass the rays on as given, and the fan converts them once
+    lists = [list(v) for v in H1_RAYS]
+    for fan in (Fan(lists, h1.maxcones), build_fan(lists, H1_COLLECTIONS), build_fan_from_rays(lists)):
+        assert fan == h1 and type(fan.rays) is tuple
+        assert all(type(v) is tuple and all(type(x) is int for x in v) for v in fan.rays)
+
+
 def test_face_fan_construction_agrees(h1, p4, database):
     assert build_fan_from_rays(P4_RAYS) == p4
     assert build_fan_from_rays(H1_RAYS) == h1

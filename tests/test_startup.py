@@ -4,7 +4,15 @@ Start-up is most of the cost of a short command, so the import path keeps
 clear of modules that are slow to import and that the package does not
 need: ``dataclasses`` (which pulls in ``inspect``), ``importlib.resources``
 (which pulls in ``inspect``, ``pathlib`` and ``tempfile`` from CPython 3.12
-on) and, outside ``--format json``, ``json``.
+on), ``fractions`` (which pulls in ``decimal``, ``numbers``, ``re`` and
+``enum``), ``typing`` and, outside ``--format json``, ``json``. No
+``Fraction`` is made on a smooth atlas until ch2 is evaluated or the
+reference table is read.
+
+The probe runs under ``-I`` and under ``-I -S``: a ``.pth`` file of the
+site packages may import ``typing`` or ``re`` before the probe starts, and
+a module already loaded is not loaded again, so only ``-S`` shows that the
+package itself does not load them.
 """
 
 import subprocess
@@ -13,25 +21,45 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# run in a fresh isolated interpreter; the last line of stdout names the
-# modules that the import and the command loaded
+# run in a fresh isolated interpreter; the last two lines of stdout are the
+# exit codes with the modules that the import and the bundled atlas loaded,
+# and then the modules loaded by the end of the commands
 PROBE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import toricfano
-import toricfano.cli
 toricfano.shipped_database()
-code = toricfano.cli.main(["list"])
-print(code, *sorted(set(sys.modules) - before))
+loaded = set(sys.modules)
+import toricfano.cli
+codes = [toricfano.cli.main(["list"]), toricfano.cli.main(["validate"])]
+print(*codes, *sorted(loaded - before))
+print(*sorted(set(sys.modules) - before))
 """
+
+# never loaded by the import, the bundled atlas, list or validate
+SLOW = {"dataclasses", "importlib.resources", "inspect", "json", "fractions", "decimal", "numbers", "typing"}
+
+
+def _probe(*flags):
+    """Run the probe with the interpreter ``flags``; assert what it loaded."""
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", PROBE, str(SRC)], capture_output=True, text=True, check=True, timeout=60
+    )
+    first, last = done.stdout.splitlines()[-2:]
+    list_code, validate_code, *imported = first.split()
+    loaded = set(last.split())
+    assert (list_code, validate_code) == ("0", "0")
+    assert "toricfano.atlas" in imported and "toricfano.cli" in loaded
+    assert not SLOW & loaded
+    # argparse, which toricfano.cli imports, loads re and with it enum; the
+    # package alone loads neither
+    assert not {"re", "enum"} & set(imported)
 
 
 def test_list_loads_no_slow_stdlib_module():
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE, str(SRC)], capture_output=True, text=True, check=True, timeout=60
-    )
-    code, *loaded = done.stdout.splitlines()[-1].split()
-    assert code == "0"
-    assert "toricfano.atlas" in loaded
-    assert not {"dataclasses", "importlib.resources", "inspect", "json"} & set(loaded)
+    _probe("-I")
+
+
+def test_list_loads_no_slow_stdlib_module_without_site():
+    _probe("-I", "-S")
