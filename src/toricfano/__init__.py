@@ -13,6 +13,7 @@ from .atlas import (
     VarietyAnalysis,
     VarietyRecord,
     analyse,
+    analyse_each,
     parse,
     record_fan,
     render,

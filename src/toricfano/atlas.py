@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
 
 from .chern import Ch2Report, classify
@@ -297,7 +297,8 @@ class VarietyAnalysis:
     collections. ``tables``, when given, are those of an earlier record with
     the same ray count and collections, and the fan is built on them instead
     of from the collections; once a fan is built from collections,
-    ``tables`` holds its tables. The rays are never shared: bases, wall
+    ``tables`` holds its tables. :func:`analyse_each` passes them from one
+    record of a type to the next. The rays are never shared: bases, wall
     relations, the overlap check, the Fano check and ch2 are computed for
     every record. A record without collections takes the face-fan path and
     shares nothing.
@@ -395,33 +396,38 @@ class VarietyAnalysis:
         return classify(self.fan)
 
 
-_last_analysis: VarietyAnalysis | None = None
-
-
+@lru_cache(maxsize=1)
 def analyse(rec: VarietyRecord) -> VarietyAnalysis:
-    """The analysis of ``rec``.
+    """The analysis of ``rec``, kept until another record is analysed, so a
+    caller that validates a record and then asks for its fan builds the fan
+    once. It shares no tables; a pass over an atlas takes
+    :func:`analyse_each`."""
+    return VarietyAnalysis(rec)
 
-    Only the most recent analysis is kept, so a caller that validates a
-    record and then asks for its fan builds the fan once. A new analysis
-    takes over the fan tables of the one it replaces when the two records
-    have equal ray counts and equal collections, so the records of one
-    combinatorial type that follow each other build their tables once.
-    :func:`validate_database`, which the ``validate`` command runs, takes an
-    atlas one type at a time, so there each type builds its tables once
-    wherever its records sit in the file. A pass over an atlas holds at
-    most one fan and one set of tables.
+
+def analyse_each(records: Sequence[VarietyRecord]) -> Iterator[tuple[int, VarietyAnalysis]]:
+    """``(index, analysis)`` for every record of ``records``, one
+    combinatorial type at a time.
+
+    A type is a ray count with its collections, and the types come in the
+    order they first appear. The records of a type share the fan tables of
+    the first of them whose fan is built, and the tables are dropped when
+    the type changes, so a pass builds one table set per type and holds at
+    most one. A caller that needs input order puts each result at its
+    index; no analysis depends on the order, since every check reads only
+    its own record.
     """
-    global _last_analysis
-    previous = _last_analysis
-    if previous is not None and previous.record is rec:
-        return previous
-    tables = None
-    if previous is not None and previous.tables is not None:
-        prior = previous.record
-        if rec.collections == prior.collections and len(rec.rays) == len(prior.rays):
-            tables = previous.tables
-    analysis = _last_analysis = VarietyAnalysis(rec, tables)
-    return analysis
+    # a dict keeps first-seen order and, unlike sorting, never compares
+    # None collections with ()
+    types: dict[tuple, list[int]] = {}
+    for i, rec in enumerate(records):
+        types.setdefault((len(rec.rays), rec.collections), []).append(i)
+    for indices in types.values():
+        tables = None
+        for i in indices:
+            analysis = VarietyAnalysis(records[i], tables)
+            yield i, analysis
+            tables = analysis.tables
 
 
 def record_fan(rec: VarietyRecord) -> Fan:
@@ -465,27 +471,6 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
     rays, fail outright.
     """
     return analyse(rec).report
-
-
-def validate_database(db: AtlasDatabase) -> list[RecordReport]:
-    """:func:`validate_record` of every record of ``db``, in file order.
-
-    The records are validated one combinatorial type at a time, in the
-    order the types first appear. A type is the key on which :func:`analyse`
-    hands tables over, the ray count and the collections, so each type
-    builds its fan tables once. No report depends on the order, since every
-    check reads only its own record.
-    """
-    # a dict keeps first-seen order and, unlike sorting, never compares
-    # None collections with ()
-    types: dict[tuple, list[int]] = {}
-    for i, rec in enumerate(db.records):
-        types.setdefault((len(rec.rays), rec.collections), []).append(i)
-    reports: list = [None] * len(db.records)
-    for indices in types.values():
-        for i in indices:
-            reports[i] = validate_record(db.records[i])
-    return reports
 
 
 # The bundled atlas, package data next to this module. Opened directly,

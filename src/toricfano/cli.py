@@ -15,9 +15,9 @@ import sys
 from .atlas import (
     AtlasParseError,
     analyse,
+    analyse_each,
     parse,
     shipped_database,
-    validate_database,
 )
 from .chern import ch2_dot_surface
 from .fan import FanError, primitive_relation
@@ -27,11 +27,24 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 
 
+class _Unreadable(Exception):
+    """An atlas file that cannot be read; the message is the OS error."""
+
+
 def _load_db(path):
     if path is None:
         return shipped_database()
-    with open(path, encoding="utf-8") as handle:
-        return parse(handle.read())
+    # only the read is guarded: an OSError elsewhere, such as a closed
+    # stdout, is not an unreadable file
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise _Unreadable(exc) from None
+    except UnicodeDecodeError as exc:
+        # read whole, so the position counts bytes from the start of the file
+        raise AtlasParseError(str(exc)) from None
+    return parse(text)
 
 
 def _surface_str(cone) -> str:
@@ -116,8 +129,10 @@ def cmd_ch2(args) -> int:
     except KeyError:
         print(f"unknown variety: {args.name}", file=sys.stderr)
         return EXIT_FAIL
-    fan = _fan_to_compute_on(args, rec)
+    analysis = analyse(rec)
+    fan, refusal = _fan_to_compute_on(args, analysis)
     if fan is None:
+        _print_err(refusal)
         return EXIT_FAIL
 
     if args.surface is not None:
@@ -132,7 +147,7 @@ def cmd_ch2(args) -> int:
             print(value)
         return EXIT_OK
 
-    report = analyse(rec).ch2
+    report = analysis.ch2
     rows = [
         {
             "variety": rec.name,
@@ -154,25 +169,25 @@ def cmd_ch2(args) -> int:
     return EXIT_OK
 
 
-def _print_failure(report) -> None:
-    for problem in report.problems:
-        print(f"{report.name}: {problem}", file=sys.stderr)
-    print(f"{report.name}: validation failed", file=sys.stderr)
+def _print_err(lines) -> None:
+    for line in lines:
+        print(line, file=sys.stderr)
 
 
-def _fan_to_compute_on(args, rec):
-    """The record's fan, or ``None`` once the reason is on stderr. Records
-    of a ``--db`` file must validate first; the test suite validates the
-    bundled ones."""
-    analysis = analyse(rec)
+def _failure_lines(report) -> list[str]:
+    return [f"{report.name}: {problem}" for problem in report.problems] + [f"{report.name}: validation failed"]
+
+
+def _fan_to_compute_on(args, analysis):
+    """``(fan, None)``, or ``(None, lines)`` with the stderr lines that say
+    why there is no fan. Records of a ``--db`` file must validate first;
+    the test suite validates the bundled ones."""
     if args.db is not None and not analysis.report.ok:
-        _print_failure(analysis.report)
-        return None
+        return None, _failure_lines(analysis.report)
     try:
-        return analysis.fan
+        return analysis.fan, None
     except FanError as exc:
-        print(f"{rec.name}: {exc}", file=sys.stderr)
-        return None
+        return None, [f"{analysis.record.name}: {exc}"]
 
 
 def cmd_classify(args) -> int:
@@ -192,34 +207,30 @@ def cmd_classify(args) -> int:
                 print(f"unknown variety: {name}", file=sys.stderr)
                 return EXIT_FAIL
 
-    # one analysis at a time: each fan is dropped once its row is made, and
-    # after a failure only validation goes on, since no row will be printed
-    rows = []
-    two_fano = []
-    failed = []
-    for rec in targets:
-        analysis = analyse(rec)
+    # one analysis at a time, a type at a time, each row and failure put at
+    # its input index: each fan is dropped once its row is made, and after a
+    # failure only validation goes on, since no row will be printed
+    rows = [None] * len(targets)
+    failed = {}
+    for i, analysis in analyse_each(targets):
         if not analysis.report.ok:
-            failed.append(analysis.report)
+            failed[i] = analysis.report
         if failed:
             continue
         report = analysis.ch2
-        rows.append(
-            {
-                "variety": rec.name,
-                "surface": _surface_str(report.witness),
-                "value": str(report.min_value),
-                "classification": report.classification,
-            }
-        )
-        if report.classification == "two_fano":
-            two_fano.append(rec.name)
+        rows[i] = {
+            "variety": targets[i].name,
+            "surface": _surface_str(report.witness),
+            "value": str(report.min_value),
+            "classification": report.classification,
+        }
     if failed:
-        for report in failed:
-            _print_failure(report)
+        for i in sorted(failed):
+            _print_err(_failure_lines(failed[i]))
         return EXIT_FAIL
 
     columns = ["variety", "surface", "value", "classification"]
+    two_fano = [row["variety"] for row in rows if row["classification"] == "two_fano"]
     if args.format == "json":
         _print_json(
             {
@@ -240,57 +251,54 @@ def cmd_paper_table(args) -> int:
     from .atlas import REFERENCE_TABLE
 
     db = _load_db(args.db)
-    rows = []
-    mismatches = []
-    for name, surface, expected in REFERENCE_TABLE:
+    # the rows before the first missing variety are computed, a type at a
+    # time, and the first refusal in table order is the one reported
+    records = []
+    for name, _, _ in REFERENCE_TABLE:
         try:
-            rec = db.lookup(name)
+            records.append(db.lookup(name))
         except KeyError:
-            print(f"missing variety: {name}", file=sys.stderr)
-            return EXIT_FAIL
-        fan = _fan_to_compute_on(args, rec)
+            break
+    rows = [None] * len(records)
+    mismatches = [None] * len(records)
+    refusals = {}
+    for i, analysis in analyse_each(records):
+        fan, refusal = _fan_to_compute_on(args, analysis)
         if fan is None:
-            return EXIT_FAIL
+            refusals[i] = refusal
+            continue
+        name, surface, expected = REFERENCE_TABLE[i]
         sigma = tuple(sorted(surface))
         if sigma not in fan.cones2:
-            mismatches.append(f"{name} {_surface_str(surface)}: surface is not a cone")
+            mismatches[i] = f"{name} {_surface_str(surface)}: surface is not a cone"
             value = "n/a"
         else:
             computed = ch2_dot_surface(fan, sigma)
             value = str(computed)
             if computed != expected:
-                mismatches.append(
-                    f"{name} {_surface_str(surface)}: computed {computed}, reference {expected}"
-                )
-        rows.append({"variety": name, "surface": _surface_str(surface), "value": value})
+                mismatches[i] = f"{name} {_surface_str(surface)}: computed {computed}, reference {expected}"
+        rows[i] = {"variety": name, "surface": _surface_str(surface), "value": value}
+    if refusals:
+        _print_err(refusals[min(refusals)])
+        return EXIT_FAIL
+    if len(records) < len(REFERENCE_TABLE):
+        print(f"missing variety: {REFERENCE_TABLE[len(records)][0]}", file=sys.stderr)
+        return EXIT_FAIL
     _print_rows(args, ["variety", "surface", "value"], rows)
-    for line in mismatches:
-        print(f"mismatch: {line}", file=sys.stderr)
-    return EXIT_FAIL if mismatches else EXIT_OK
+    _print_err(f"mismatch: {line}" for line in mismatches if line)
+    return EXIT_FAIL if any(mismatches) else EXIT_OK
 
 
 def cmd_validate(args) -> int:
     db = _load_db(args.db if args.file is None else args.file)
-    reports = validate_database(db)
-    rows = []
-    all_ok = True
-    for rep in reports:
-        rows.append(
-            {
-                "variety": rep.name,
-                "smooth": str(rep.smooth).lower(),
-                "complete": str(rep.complete).lower(),
-                "round_trip": str(rep.round_trip).lower(),
-                "fano": str(rep.fano).lower(),
-                "ok": str(rep.ok).lower(),
-            }
-        )
-        if not rep.ok:
-            all_ok = False
-            for problem in rep.problems:
-                print(f"{rep.name}: {problem}", file=sys.stderr)
-    _print_rows(args, ["variety", "smooth", "complete", "round_trip", "fano", "ok"], rows)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    reports = [None] * len(db)
+    for i, analysis in analyse_each(db.records):
+        reports[i] = analysis.report
+    _print_err(f"{rep.name}: {problem}" for rep in reports if not rep.ok for problem in rep.problems)
+    flags = ("smooth", "complete", "round_trip", "fano", "ok")
+    rows = [{"variety": rep.name, **{f: str(getattr(rep, f)).lower() for f in flags}} for rep in reports]
+    _print_rows(args, ["variety", *flags], rows)
+    return EXIT_OK if all(rep.ok for rep in reports) else EXIT_FAIL
 
 
 def _add_common_options(parser, suppress: bool) -> None:
@@ -371,7 +379,7 @@ def main(argv=None) -> int:
     except AtlasParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except _Unreadable as exc:
         print(f"cannot read file: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -129,8 +129,8 @@ class Fan:
     maximal cones, or shared with another fan that has the same maximal
     cones: ``Fan(rays, other.tables)``. The fans that
     :func:`build_fan` makes from equal ray counts and equal collections have
-    equal maximal cones, so :func:`toricfano.atlas.analyse` shares tables
-    between such records and holds at most one fan and one table set.
+    equal maximal cones, so :func:`toricfano.atlas.analyse_each` shares
+    tables between such records and holds at most one table set.
     Everything that reads the rays stays with the fan and is never shared,
     in two stores that are filled in batches: :meth:`cone_bases`, the dual
     basis and determinant of each maximal cone, and :meth:`wall_relations`,

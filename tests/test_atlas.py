@@ -354,7 +354,7 @@ def test_validate_then_record_fan_builds_one_fan(monkeypatch, database):
     from toricfano import atlas
 
     built = []
-    monkeypatch.setattr(atlas, "_last_analysis", None)
+    atlas.analyse.cache_clear()
     monkeypatch.setattr(atlas, "build_fan", lambda *args: built.append(args) or build_fan(*args))
     h1, p4 = database.lookup("H1"), database.lookup("P4")
     assert validate_record(h1).ok
@@ -369,14 +369,14 @@ def _flags(report):
     return report.smooth, report.complete, report.round_trip, report.fano, report.problems
 
 
-def test_fans_on_shared_tables_equal_fresh_fans(monkeypatch, database):
+def test_fans_on_shared_tables_equal_fresh_fans(database):
     from toricfano import atlas
     from toricfano.fan import minimal_nonfaces
 
-    monkeypatch.setattr(atlas, "_last_analysis", None)
     tables = {}  # holding each table set keeps its id unique
-    for rec in database:
-        shared = atlas.record_fan(rec)
+    for i, analysis in atlas.analyse_each(database.records):
+        rec = database.records[i]
+        shared = analysis.fan
         tables[id(shared.tables)] = shared.tables
         fresh = build_fan(rec.rays, rec.collections)
         assert shared is not fresh and shared.rays == fresh.rays
@@ -389,7 +389,7 @@ def test_fans_on_shared_tables_equal_fresh_fans(monkeypatch, database):
             assert shared.cone_basis(mc) == fresh.cone_basis(mc), (rec.name, mc)
         for tau in fresh.cones3:
             assert shared.wall_relation(tau) == fresh.wall_relation(tau), (rec.name, tau)
-    # one table set per (ray count, collections), and each type is one run of the file
+    # one table set per (ray count, collections)
     assert len(tables) == len({(len(rec.rays), rec.collections) for rec in database}) == 17
 
 
@@ -406,7 +406,7 @@ def _degenerate(rec):
     raise AssertionError(f"no degenerate variant of {rec.name}")
 
 
-def test_shared_tables_leave_every_ray_check_in_place(monkeypatch, database):
+def test_shared_tables_leave_every_ray_check_in_place(database):
     from toricfano import atlas
     from toricfano.atlas import VarietyAnalysis
 
@@ -416,30 +416,41 @@ def test_shared_tables_leave_every_ray_check_in_place(monkeypatch, database):
     zero = g1._replace(name="G1_zero", rays=((0, 0, 0, 0),) + g1.rays[1:])
     swapped = g2._replace(name="G2_swapped", rays=(g2.rays[1], g2.rays[0]) + g2.rays[2:])
     for order in ((bad, g2), (g2, bad), (g1, zero, g2), (swapped, g1, bad, g2, swapped)):
-        monkeypatch.setattr(atlas, "_last_analysis", None)
         previous = None
-        for rec in order:
-            analysis = atlas.analyse(rec)
+        seen = []
+        for i, analysis in atlas.analyse_each(order):
+            rec = order[i]
+            seen.append(i)
             if previous is not None and previous.tables is not None:
                 assert analysis.tables is previous.tables
             assert _flags(analysis.report) == _flags(VarietyAnalysis(rec).report), rec.name
             previous = analysis
-    monkeypatch.setattr(atlas, "_last_analysis", None)
+        # one type, so the records come in input order
+        assert seen == list(range(len(order)))
+    atlas.analyse.cache_clear()
     problems = atlas.analyse(bad).report.problems
     assert any(p.endswith("is degenerate") for p in problems), problems
     assert atlas.analyse(g2).report.ok
 
 
-def test_records_without_collections_share_no_tables(monkeypatch, database):
+def test_records_without_collections_share_no_tables(database):
     from toricfano import atlas
 
     p4 = database.lookup("P4")
-    monkeypatch.setattr(atlas, "_last_analysis", None)
-    atlas.record_fan(p4)
     bare = p4._replace(name="P4_bare", collections=None)
-    analysis = atlas.analyse(bare)
-    assert analysis.tables is None and analysis.report.ok
-    assert atlas.analyse(p4._replace(name="P4_again")).tables is None
+    records = (p4, bare, p4._replace(name="P4_again"), bare._replace(name="P4_bare_again"))
+    analyses = [None] * len(records)
+    for i, analysis in atlas.analyse_each(records):
+        assert analysis.report.ok
+        analyses[i] = analysis
+    # the bare records are one type, on the face-fan path, and take no tables
+    assert analyses[1].tables is None and analyses[3].tables is None
+    assert analyses[2].tables is analyses[0].tables is not None
+    # analyse shares no tables at all
+    atlas.analyse.cache_clear()
+    built = atlas.record_fan(p4)
+    again = atlas.analyse(p4._replace(name="P4_again"))
+    assert again.tables is None and again.fan.tables is not built.tables
 
 
 def test_record_report_caps_its_problems():

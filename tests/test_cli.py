@@ -47,9 +47,21 @@ def test_parse_failure_exits_2(tmp_path, capsys):
     assert "line 4" in err
 
 
-def test_missing_file_exits_2(capsys):
-    code, _, err = run(capsys, "--db", "/nonexistent/db.txt", "list")
-    assert code == 2
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_missing_file_exits_2(kind, tmp_path, capsys):
+    path = tmp_path / "db.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"# an atlas\nvariety X\xff\n")
+    for argv in (["--db", str(path), "list"], ["validate", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        if kind == "not_utf8":
+            assert err == "parse error: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte\n"
+        else:
+            assert err.startswith("cannot read file: [Errno ") and err.endswith(f"{str(path)!r}\n")
+            assert len(err.splitlines()) == 1
 
 
 def test_ch2_single_surface(capsys):
@@ -275,7 +287,7 @@ def test_validation_skips_the_non_face_search_where_the_round_trip_is_vacuous(tm
     searched = []
     search = atlas.minimal_nonfaces
     monkeypatch.setattr(atlas, "minimal_nonfaces", lambda built: searched.append(built.rays) or search(built))
-    monkeypatch.setattr(atlas, "_last_analysis", None)
+    atlas.analyse.cache_clear()
     p4 = database.lookup("P4")._replace(collections=None)
     # without collections, or with derived ones, the round trip holds unsearched
     for rec in (p4, database.lookup("M5")):
@@ -309,7 +321,7 @@ def test_single_surface_query_computes_only_the_cone_bases_it_reads(monkeypatch,
 
         return wrapper
 
-    monkeypatch.setattr(atlas, "_last_analysis", None)
+    atlas.analyse.cache_clear()
     adjugates4 = fan.adjugates4
 
     def counted_bases(matrices):
@@ -425,12 +437,31 @@ def test_paper_table_validates_a_user_atlas(tmp_path, capsys):
     assert err.splitlines() == [f"E1: {line}" for line in DEGENERATE_ERR]
 
 
-def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
+def _shuffled_atlas(tmp_path):
+    """The bundled atlas in a fixed-seed shuffle, written with M5's derived
+    collections, as ``--db`` arguments and the records read back."""
+    import random
+
+    from toricfano.atlas import AtlasDatabase, parse
+
+    records = list(shipped_database())
+    random.Random(18).shuffle(records)
+    path = tmp_path / "shuffled.txt"
+    path.write_text(render(AtlasDatabase(tuple(records))))
+    return ["--db", str(path)], parse(path.read_text())
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["shipped", "shuffled"])
+def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch, capsys):
     from collections import Counter
 
     from toricfano import atlas, fan
 
     database = shipped_database()  # loaded, M5 derived, before anything is counted
+    db_args = []
+    if shuffled:
+        # M5's collections are read from the file, so its round trip is searched
+        db_args, database = _shuffled_atlas(tmp_path)
     fans, calls = Counter(), Counter()
     fan_init = fan.Fan.__init__
 
@@ -451,27 +482,75 @@ def test_classify_all_analyses_each_record_once(monkeypatch, capsys):
 
         return wrapper
 
-    monkeypatch.setattr(atlas, "_last_analysis", None)
+    atlas.analyse.cache_clear()
     monkeypatch.setattr(fan.Fan, "__init__", init)
     for name in keys:
         wrapped = counted(name, getattr(fan, name))
         for module in (fan, atlas):
             monkeypatch.setattr(module, name, wrapped)
-    code, out, _ = run(capsys, "classify", "--all")
+    code, out, _ = run(capsys, *db_args, "classify", "--all")
     assert code == 0 and out.splitlines()[-1] == "# two_fano 1 of 67: P4"
     rays = Counter(tuple(tuple(v) for v in rec.rays) for rec in database)
     types = Counter({(len(rec.rays), rec.collections): 1 for rec in database})
     nonfaces = Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"})
     declared = Counter(tuple(tuple(v) for v in rec.rays) for rec in database if not rec.collections_derived)
     # every record gets one fan, asks for its non-faces once when its
-    # collections were declared (M5's were derived, so its round trip is
-    # vacuous and it never asks), and each combinatorial type builds its
-    # tables once
+    # collections were declared (the bundled M5's were derived, so its round
+    # trip is vacuous and it never asks), and each combinatorial type builds
+    # its tables once, wherever its records sit
     assert fans == rays
-    assert nonfaces == declared and len(declared) == 66
+    assert nonfaces == declared and len(declared) == (67 if shuffled else 66)
     assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
     assert len(types) == 17
     assert not any(name == "build_fan_from_rays" for name, _ in calls)
+
+    # paper-table builds the tables of each type in the reference table once
+    from toricfano.atlas import REFERENCE_TABLE
+
+    calls.clear()
+    code, _, _ = run(capsys, *db_args, "paper-table")
+    assert code == 1  # the H2 misprint, see ERRATA
+    listed = {row[0] for row in REFERENCE_TABLE}
+    types = Counter({(len(rec.rays), rec.collections): 1 for rec in database if rec.name in listed})
+    assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
+    assert len(types) == 16
+
+
+def test_a_pass_holds_one_table_set_at_a_time(tmp_path, monkeypatch, capsys):
+    import weakref
+
+    from toricfano import atlas, fan
+
+    db_args, _ = _shuffled_atlas(tmp_path)
+    p4 = shipped_database().lookup("P4")
+    bare = tmp_path / "bare.txt"
+    bare.write_text(
+        render(atlas.AtlasDatabase(tuple(p4._replace(name=f"P4_{k}", collections=None) for k in range(3))))
+    )
+    alive = set()
+    at_build = []  # how many table sets are alive, the new one included, as each is built
+
+    class Tracked(fan.FanTables):
+        def __init__(self, maxcones):
+            super().__init__(maxcones)
+            alive.add(id(self))
+            weakref.finalize(self, alive.discard, id(self))
+            at_build.append(len(alive))
+
+    atlas.analyse.cache_clear()
+    monkeypatch.setattr(fan, "FanTables", Tracked)
+    for argv in (
+        ["classify", "--all"],
+        [*db_args, "classify", "--all"],
+        ["validate"],
+        ["validate", db_args[1]],
+        ["validate", str(bare)],
+    ):
+        at_build.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert len(at_build) == (3 if str(bare) in argv else 17), argv
+        assert max(at_build) == 1, (argv, at_build)
 
 
 def test_validate_builds_each_type_once_wherever_its_records_sit(tmp_path, monkeypatch, capsys):
@@ -499,7 +578,7 @@ def test_validate_builds_each_type_once_wherever_its_records_sit(tmp_path, monke
     path.write_text(render(AtlasDatabase(records)))
 
     # what validating each record in file order prints
-    monkeypatch.setattr(atlas, "_last_analysis", None)
+    atlas.analyse.cache_clear()
     reports = [validate_record(rec) for rec in parse(path.read_text())]
     assert [rep.ok for rep in reports] == [True, True, True, True, False, False, True, True, True]
     flags = ("smooth", "complete", "round_trip", "fano", "ok")
@@ -515,7 +594,7 @@ def test_validate_builds_each_type_once_wherever_its_records_sit(tmp_path, monke
         built[len(rays), tuple(collections)] += 1
         return build_fan(rays, collections)
 
-    monkeypatch.setattr(atlas, "_last_analysis", None)
+    atlas.analyse.cache_clear()
     monkeypatch.setattr(atlas, "build_fan", counted)
     code, stdout, stderr = run(capsys, "validate", str(path))
     assert (code, stdout, stderr) == (1, "variety\tsmooth\tcomplete\tround_trip\tfano\tok\n" + out, err)
