@@ -278,11 +278,12 @@ class VarietyAnalysis:
     never raises.
 
     The Fano check reads the wall relations that :func:`validate_fan` has
-    stored, with one :meth:`Fan.wall_relations` call. A complete toric
-    variety is Fano when -K is ample, and -K is ample exactly when it has
-    positive degree on every invariant curve V(tau) (the toric Kleiman
-    criterion, Cox-Little-Schenck, *Toric Varieties*, Thm 6.3.13). With x
-    the wall relation of tau, that degree is 2 - sum of x_w over w in tau.
+    stored, by position, with one :meth:`Fan.wall_relations` call. A
+    complete toric variety is Fano when -K is ample, and -K is ample
+    exactly when it has positive degree on every invariant curve V(tau)
+    (the toric Kleiman criterion, Cox-Little-Schenck, *Toric Varieties*,
+    Thm 6.3.13). With x the wall relation of tau, that degree is 2 - sum
+    of x_w over w in tau.
     On a smooth complete fan this is Batyrev's criterion that every
     primitive relation has positive degree (Batyrev 1999, Prop. 2.3.6),
     which the test suite keeps as an independent oracle. The first wall,
@@ -319,7 +320,8 @@ class VarietyAnalysis:
         if rec.collections is None:
             return build_fan_from_rays(rec.rays)
         if self.tables is not None:
-            return Fan(rec.rays, self.tables)
+            # parse makes the rays integer tuples, so the fan takes them as they are
+            return Fan._on_points(rec.rays, self.tables)
         fan = build_fan(rec.rays, rec.collections)
         self.tables = fan.tables
         return fan
@@ -377,15 +379,16 @@ class VarietyAnalysis:
                     f"collections do not round-trip (declared-only {missing}, derived-only {extra})"
                 )
         # -K . V(tau) = 2 - sum of x_w over w in tau, from the wall relation
-        # v_a + v_b = sum of x_w v_w that validation stored for every wall;
-        # the first failing wall in cones3 order is the least
+        # v_a + v_b = sum of x_w v_w that validation stored for every wall:
+        # x holds the coordinates over the holder tau + a, with x_a at k
         failing = [
             (tau, degree)
-            for tau, x in fan.wall_relations().items()
-            if (degree := 2 - x[tau[0]] - x[tau[1]] - x[tau[2]]) <= 0
+            for tau, x, (_, k) in zip(fan.cones3, fan.wall_relations(), fan.tables.wall_rows)
+            if (degree := 2 - x[0] - x[1] - x[2] - x[3] + x[k]) <= 0
         ]
         if failing:
-            tau, degree = min(failing)
+            # the first failing wall in cones3 order
+            tau, degree = failing[0]
             report.problems.append(f"anticanonical degree {degree} on the curve of wall {tau}")
             return
         report.fano = True

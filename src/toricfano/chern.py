@@ -148,23 +148,28 @@ def _wall_sum(fan: Fan, sigma: Cone):
     :meth:`Fan.wall_relations` call, which computes no other wall. The curve
     of tau meets D_w in -x_w points for w in tau. The term of n is then
     -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q with u_p, u_q the duals of p, q
-    on sigma.
+    on sigma. Each x is a 4-tuple over the rays of the holder of tau, read
+    at the positions of n, p and q there.
     """
     p, q = sigma
-    walls, rays = fan.walls, fan.rays
+    tables, rays = fan.tables, fan.rays
+    at = tables.wall_at
     around = {}
     for n in range(1, fan.ray_count + 1):
         tau = (n, p, q) if n < p else (p, n, q) if n < q else (p, q, n)
-        if n != p and n != q and tau in walls:
-            around[tau] = n
+        t = at.get(tau)
+        if t is not None and n != p and n != q:
+            around[tau] = (t, n)
     relations = fan.wall_relations(around)
     # the cone holding sigma holds two of these walls, so its basis is stored
     up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
     total = 0
-    for tau, n in around.items():
-        x = relations[tau]
+    for t, n in around.values():
+        x = relations[t]
+        holder = tables.maxcones[tables.wall_rows[t][0]]
         v = rays[n - 1]
-        total += sum(map(mul, up, v)) * x[p] + sum(map(mul, uq, v)) * x[q] - x[n]
+        total += sum(map(mul, up, v)) * x[holder.index(p)] + sum(map(mul, uq, v)) * x[holder.index(q)]
+        total -= x[holder.index(n)]
     return total
 
 
@@ -195,66 +200,50 @@ def classify(fan: Fan) -> Ch2Report:
     from fractions import Fraction
 
     twice = _surface_sums(fan)
-    witness = min(twice, key=twice.__getitem__)
-    halves = {total: Fraction(total, 2) for total in set(twice.values())}
-    values = {sigma: halves[total] for sigma, total in twice.items()}
+    cones2 = fan.cones2
+    # cones2 is sorted, so the first least sum is at the least 2-cone
+    witness = cones2[twice.index(min(twice))]
+    halves = {total: Fraction(total, 2) for total in set(twice)}
+    values = dict(zip(cones2, map(halves.__getitem__, twice)))
     min_value = values[witness]
     return Ch2Report(values, min_value, witness, _classification(min_value))
 
 
-def _surface_sums(fan: Fan) -> dict:
-    """sum_w D_w . (D_w . V(sigma)) for every 2-cone sigma, in the order of
-    ``fan.cones2``, from one pass over the wall table.
+def _surface_sums(fan: Fan) -> list:
+    """sum_w D_w . (D_w . V(sigma)) for every 2-cone sigma, a list aligned
+    with ``fan.cones2``, from one pass over the wall relations.
 
-    The wall tau = (a, b, c) with coordinates x, its wall relation, adds
+    The wall tau with coordinates x, its wall relation, adds
     -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q to the surface
     sigma = (p, q) = tau minus n, for each n in tau, with u_p, u_q the duals
     of p, q on the maximal cone holding sigma: the term :func:`_wall_sum`
     adds for n. When n is a generator of that cone, both pairings vanish
-    and the term is -x_n. The relations and the bases are read from the
-    fan's stores, :meth:`Fan.wall_relations` and :meth:`Fan.cone_bases`,
-    one call each. The holder of sigma also holds the walls that it has
-    around sigma (any maximal cone with such a wall contains sigma, so none
-    comes earlier), so once every wall relation exists no holder of a
-    surface is degenerate. No link of a surface is read.
+    and the term is -x_n. Which of the two a (wall, surface) pair is, and
+    where x_n, x_p and x_q sit in x, comes from the index table
+    :meth:`~toricfano.fan.FanTables.sweep`, built once per table set. The
+    relations and the bases are read by position from the fan's stores,
+    :meth:`Fan.wall_relations` and :meth:`Fan.cone_bases`, one call each;
+    the duals of p and q sit at the positions that the sweep's surface
+    rows record. The holder of sigma also holds the walls that it has around
+    sigma (any maximal cone with such a wall contains sigma, so none comes
+    earlier), so once every wall relation exists no holder of a surface is
+    degenerate. No link of a surface is read.
     """
     relations = fan.wall_relations()
     bases = fan.cone_bases()
-    holders = fan.tables.faces
-    acc: dict = dict.fromkeys(fan.cones2, 0)
-    # per surface: the duals of p and q on its holder, then the holder
-    duals = {}
-    for sigma in acc:
-        mc = holders[sigma]
-        u = bases[mc][0]
-        duals[sigma] = (*u[mc.index(sigma[0])], *u[mc.index(sigma[1])], mc)
+    tables = fan.tables
+    inside, outside, surface_rows = tables.sweep()
+    acc = [0] * len(tables.cones2)
+    for s, t, kn in inside:
+        acc[s] -= relations[t][kn]
+    # per surface: the duals of p and q on its holder
+    duals = [(bases[h][0][i], bases[h][0][j]) for h, i, j in surface_rows]
     rays = fan.rays
-    for tau, x in relations.items():
-        a, b, c = tau
-        xa, xb, xc = x[a], x[b], x[c]
-        # the surfaces (b, c), (a, c) and (a, b), across n = a, b and c
-        p0, p1, p2, p3, q0, q1, q2, q3, mc = duals[b, c]
-        if a in mc:
-            acc[b, c] -= xa
-        else:
-            v0, v1, v2, v3 = rays[a - 1]
-            acc[b, c] += (
-                (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xb + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xc - xa
-            )
-        p0, p1, p2, p3, q0, q1, q2, q3, mc = duals[a, c]
-        if b in mc:
-            acc[a, c] -= xb
-        else:
-            v0, v1, v2, v3 = rays[b - 1]
-            acc[a, c] += (
-                (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xa + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xc - xb
-            )
-        p0, p1, p2, p3, q0, q1, q2, q3, mc = duals[a, b]
-        if c in mc:
-            acc[a, b] -= xc
-        else:
-            v0, v1, v2, v3 = rays[c - 1]
-            acc[a, b] += (
-                (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * xa + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * xb - xc
-            )
+    for s, t, n, kn, kp, kq in outside:
+        x = relations[t]
+        (p0, p1, p2, p3), (q0, q1, q2, q3) = duals[s]
+        v0, v1, v2, v3 = rays[n]
+        acc[s] += (
+            (p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3) * x[kp] + (q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3) * x[kq] - x[kn]
+        )
     return acc

@@ -301,6 +301,37 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_FAIL
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, asking for the terminal width only when it
+    formats help, usage or an error.
+
+    argparse makes a formatter for every ``add_argument`` to check the
+    metavar, and the stock constructor asks ``shutil`` for the terminal
+    width, so building the parser would import ``shutil`` (with ``bz2``,
+    ``lzma`` and ``fnmatch``) although nothing is printed. Here the width
+    and the help position that depends on it are set on first read, by a
+    stock formatter made with the measured width, so the output is the
+    stock output.
+    """
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        super().__init__(prog, indent_increment, max_help_position, 0 if width is None else width)
+        if width is None:
+            self._max_help_position_asked = max_help_position
+            del self._width, self._max_help_position
+
+    def __getattr__(self, name):
+        # called only for attributes not set, so only for the two deferred ones
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        import shutil
+
+        width = shutil.get_terminal_size().columns - 2
+        stock = argparse.HelpFormatter(self._prog, self._indent_increment, self._max_help_position_asked, width)
+        self._width, self._max_help_position = stock._width, stock._max_help_position
+        return getattr(self, name)
+
+
 def _add_common_options(parser, suppress: bool) -> None:
     # the same options hang off the main parser (with real defaults) and off
     # every subcommand (defaulting to SUPPRESS, so a flag given before the
@@ -332,12 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricfano",
         description="Smooth toric Fano 4-folds: exact second Chern character "
         "intersection numbers on invariant surfaces.",
+        formatter_class=_HelpFormatter,
     )
     _add_common_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subparser(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
         _add_common_options(p, suppress=True)
         p.set_defaults(func=func)
         return p

@@ -10,7 +10,7 @@ to import and the integer kernels never need it.
 Square 4x4 integer systems are handled in integers only: :func:`adjugates4`
 gives the adjugate and the determinant of each matrix of a batch, and the
 adjugate rows divided by the determinant form the dual basis (integral on a
-unimodular matrix); :func:`adjugate4` is its batch of one.
+unimodular matrix).
 The rational row reduction behind :func:`solve` serves the general, possibly
 singular or non-square systems, which never have more than four columns
 here.
@@ -85,12 +85,6 @@ def adjugates4(matrices: Iterable[Sequence[Sequence[int]]]) -> list[tuple[tuple[
         )
         out.append((adj_rows, a0 * row0[0] + a1 * row0[1] + a2 * row0[2] + a3 * row0[3]))
     return out
-
-
-def adjugate4(cols: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``(adj_rows, det)`` of the one 4x4 matrix with columns ``cols``, see
-    :func:`adjugates4`."""
-    return adjugates4((cols,))[0]
 
 
 def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:

@@ -43,6 +43,16 @@ def _cone(indices: Iterable[int]) -> Cone:
     return tuple(sorted(indices))
 
 
+# the positions in a maximal cone of the three rays of the wall opposite
+# position k, in ascending order
+_WALL_POSITIONS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _lattice_points(rays: Iterable[Sequence[int]]) -> tuple[LatticePoint, ...]:
+    """The rays as a tuple of integer tuples, the form every fan holds."""
+    return tuple(tuple(map(int, v)) for v in rays)
+
+
 class FanTables:
     """The combinatorial tables of a simplicial fan, which depend on its
     maximal cones alone, never on its rays.
@@ -53,25 +63,53 @@ class FanTables:
     which maps each 3-cone ``tau`` to the rays ``n``, in ascending order,
     with ``tau + n`` a maximal cone (two on a complete fan;
     :func:`validate_fan` checks this). ``faces`` maps each face to the
-    maximal cone that holds it, the first in sorted order that has it. The
-    minimal non-faces are filled in by :func:`minimal_nonfaces` on first
-    use. Fans with the same maximal cones can share one instance, and a fan
+    maximal cone that holds it, the first in sorted order that has it.
+
+    The same pass records where a fan stores what it computes from its
+    rays, so the fan reads its stores by position. ``maxindex`` maps each
+    maximal cone to its index in :attr:`maxcones`. ``wall_rows``, aligned
+    with :attr:`cones3`, holds ``(h, k)`` per wall: the index ``h`` of its
+    holder in :attr:`maxcones` and the position ``k`` in the holder of the
+    ray opposite the wall, its near neighbour a. ``wall_links``, aligned
+    with :attr:`cones3` too, holds each wall's neighbours as :attr:`walls`
+    has them, so the far neighbour b is ``wall_links[t][1]`` on a wall in
+    exactly two maximal cones. :attr:`wall_at`, each wall's index in
+    :attr:`cones3`, serves the readers that are given walls, not positions,
+    and is built on first use.
+
+    The minimal non-faces are filled in by :func:`minimal_nonfaces`, and
+    the index tables of the ch2 sweep by :meth:`sweep`, each on first use.
+    Fans with the same maximal cones can share one instance, and a fan
     built from primitive collections has the same maximal cones as any other
     with the same ray count and collections. Treated as immutable.
     """
 
-    __slots__ = ("maxcones", "maxset", "faces", "walls", "cones2", "cones3", "nonfaces")
+    __slots__ = (
+        "maxcones",
+        "maxindex",
+        "faces",
+        "walls",
+        "cones2",
+        "cones3",
+        "wall_rows",
+        "wall_links",
+        "nonfaces",
+        "_wall_at",
+        "_sweep",
+    )
 
     def __init__(self, maxcones: Iterable[Cone]):
         self.maxcones: tuple[Cone, ...] = tuple(sorted(map(_cone, maxcones)))
-        self.maxset = frozenset(self.maxcones)
+        self.maxindex: dict[Cone, int] = dict(zip(self.maxcones, range(len(self.maxcones))))
         # one pass over the maximal cones in sorted order: a face is held by
         # the first cone that has it, and the wall opposite each ray n of a
         # cone gains n, so the neighbours of a wall come in ascending order
         faces: dict[Cone, Cone] = {(): self.maxcones[0]} if self.maxcones else {}
         walls: dict[Cone, tuple[int, ...]] = {}
+        # each wall's holder index h and the position k of the ray opposite it
+        held: dict[Cone, tuple[int, int]] = {}
         pairs = []
-        for mc in self.maxcones:
+        for h, mc in enumerate(self.maxcones):
             a, b, c, d = mc
             faces[mc] = mc
             tau = (b, c, d)
@@ -79,6 +117,7 @@ class FanTables:
             if la is None:
                 walls[tau] = (a,)
                 faces[tau] = mc
+                held[tau] = (h, 0)
             else:
                 walls[tau] = la + (a,)
             tau = (a, c, d)
@@ -86,6 +125,7 @@ class FanTables:
             if lb is None:
                 walls[tau] = (b,)
                 faces[tau] = mc
+                held[tau] = (h, 1)
             else:
                 walls[tau] = lb + (b,)
             tau = (a, b, d)
@@ -93,6 +133,7 @@ class FanTables:
             if lc is None:
                 walls[tau] = (c,)
                 faces[tau] = mc
+                held[tau] = (h, 2)
             else:
                 walls[tau] = lc + (c,)
             tau = (a, b, c)
@@ -100,6 +141,7 @@ class FanTables:
             if ld is None:
                 walls[tau] = (d,)
                 faces[tau] = mc
+                held[tau] = (h, 3)
             else:
                 walls[tau] = ld + (d,)
             # every pair and ray of the cone lies in one of its walls, so
@@ -115,8 +157,74 @@ class FanTables:
         self.faces = faces
         self.walls: dict[Cone, tuple[int, ...]] = walls
         self.cones3: tuple[Cone, ...] = tuple(sorted(walls))
+        self.wall_rows: list[tuple[int, int]] = list(map(held.__getitem__, self.cones3))
+        self.wall_links: list[tuple[int, ...]] = list(map(walls.__getitem__, self.cones3))
         self.cones2: tuple[Cone, ...] = tuple(sorted(pairs))
         self.nonfaces: tuple[Cone, ...] | None = None
+        self._wall_at: dict[Cone, int] | None = None
+        self._sweep: tuple | None = None
+
+    @property
+    def wall_at(self) -> dict[Cone, int]:
+        """Each wall's index in :attr:`cones3`, built on first use."""
+        if self._wall_at is None:
+            self._wall_at = dict(zip(self.cones3, range(len(self.cones3))))
+        return self._wall_at
+
+    def sweep(self) -> tuple[list, list, list]:
+        """The index tables of the ch2 sweep (:func:`toricfano.chern.classify`),
+        built on first use: ``(inside, outside, surface_rows)``.
+
+        ``surface_rows``, aligned with :attr:`cones2`, holds ``(h, i, j)``
+        per 2-cone ``(p, q)``: the index of its holder in :attr:`maxcones`
+        and the positions of p and q in it, where the holder's dual basis
+        has the duals of p and q. A wall tau borders three surfaces, tau
+        minus each of its rays n. Each pair (wall, surface) is an entry,
+        with ``s`` the surface's index in :attr:`cones2`, ``t`` the wall's
+        index in :attr:`cones3`, and ``kn``, ``kp``, ``kq`` the positions of
+        n and of the surface's rays p < q in the wall's holder, where the
+        wall relation stores x_n, x_p and x_q. The entry is ``(s, t, kn)``
+        in ``inside`` when n lies in the surface's holder, which happens
+        exactly when the surface and the wall have the same holder (a holder
+        of the surface with n in it contains the wall, and none comes before
+        the wall's holder), and ``(s, t, n - 1, kn, kp, kq)`` in ``outside``
+        otherwise.
+        """
+        if self._sweep is None:
+            self._sweep = self._build_sweep()
+        return self._sweep
+
+    def _build_sweep(self) -> tuple[list, list, list]:
+        # one pass over the 2-cones, then one over the walls
+        faces, index = self.faces, self.maxindex
+        surface_rows = []
+        # the index of each 2-cone (p, q) at at[p][q]
+        size = max((q for _, q in self.cones2), default=0) + 1
+        at = [[0] * size for _ in range(size)]
+        for s, (p, q) in enumerate(self.cones2):
+            mc = faces[p, q]
+            surface_rows.append((index[mc], mc.index(p), mc.index(q)))
+            at[p][q] = s
+        inside, outside = [], []
+        for t, ((a, b, c), (h, k)) in enumerate(zip(self.cones3, self.wall_rows)):
+            ka, kb, kc = _WALL_POSITIONS[k]
+            # the surfaces (b, c), (a, c) and (a, b), across n = a, b and c
+            s = at[b][c]
+            if surface_rows[s][0] == h:
+                inside.append((s, t, ka))
+            else:
+                outside.append((s, t, a - 1, ka, kb, kc))
+            s = at[a][c]
+            if surface_rows[s][0] == h:
+                inside.append((s, t, kb))
+            else:
+                outside.append((s, t, b - 1, kb, ka, kc))
+            s = at[a][b]
+            if surface_rows[s][0] == h:
+                inside.append((s, t, kc))
+            else:
+                outside.append((s, t, c - 1, kc, ka, kb))
+        return inside, outside, surface_rows
 
 
 class Fan:
@@ -125,44 +233,62 @@ class Fan:
     Instances are built by :func:`build_fan` or :func:`build_fan_from_rays`
     and treated as immutable afterwards. The combinatorial tables
     (:class:`FanTables`: faces, :attr:`cones2`, :attr:`cones3`, the wall
-    table :attr:`walls` and the minimal non-faces) are built from the
-    maximal cones, or shared with another fan that has the same maximal
-    cones: ``Fan(rays, other.tables)``. The fans that
-    :func:`build_fan` makes from equal ray counts and equal collections have
-    equal maximal cones, so :func:`toricfano.atlas.analyse_each` shares
-    tables between such records and holds at most one table set.
+    table :attr:`walls`, the minimal non-faces and the index tables of the
+    stores) are built from the maximal cones, or shared with another fan
+    that has the same maximal cones: ``Fan(rays, other.tables)``. The fans
+    that :func:`build_fan` makes from equal ray counts and equal collections
+    have equal maximal cones, so :func:`toricfano.atlas.analyse_each` shares
+    tables between such records and holds at most one table set. The rays
+    are any sequences of integers, converted here to the tuple of integer
+    tuples that every fan holds; the builders convert them on entry and
+    the atlas passes parsed rays, so neither converts them twice.
+
     Everything that reads the rays stays with the fan and is never shared,
-    in two stores that are filled in batches: :meth:`cone_bases`, the dual
-    basis and determinant of each maximal cone, and :meth:`wall_relations`,
-    one coordinate vector per wall. Each face is held by one maximal cone,
-    whose dual basis serves every functional on that face. Called without
-    arguments, each method fills its whole store in one loop and returns
-    it, so :func:`validate_fan` computes every basis and relation once, and
-    the Fano check, :func:`~toricfano.chern.classify` and
-    :func:`containing_cones` read the stores with one call each. Given cones
-    or walls, each fills only those, so a single surface computes only the
-    walls around it; :meth:`cone_basis` and :meth:`wall_relation` are
-    batches of one.
+    in two stores, lists read and filled by position: :meth:`cone_bases`,
+    the dual basis and determinant of each maximal cone, aligned with
+    :attr:`maxcones`, and :meth:`wall_relations`, one coordinate 4-tuple per
+    wall in the order of its holder's rays, aligned with :attr:`cones3`.
+    Each face is held by one maximal cone, whose dual basis serves every
+    functional on that face. Called without arguments, each method fills
+    its whole store in one loop and returns it, so :func:`validate_fan`
+    computes every basis and relation once, and the Fano check,
+    :func:`~toricfano.chern.classify` and :func:`containing_cones` read the
+    stores with one call each. Given cones or walls, each fills only those,
+    so a single surface computes only the walls around it;
+    :meth:`cone_basis` and :meth:`wall_relation` are batches of one.
 
     The intersection methods raise :class:`FanError` naming the cone on a
     degenerate maximal cone, a wall outside exactly two maximal cones, or a
     cone that is not a face; :func:`validate_fan` reports these instead.
     """
 
-    def __init__(self, rays: Sequence[LatticePoint], maxcones: Iterable[Cone] | FanTables):
-        # the one conversion of the rays per fan: the builders pass them on as given
-        self.rays: tuple[LatticePoint, ...] = tuple(tuple(map(int, v)) for v in rays)
+    def __init__(self, rays: Iterable[Sequence[int]], maxcones: Iterable[Cone] | FanTables):
         tables = maxcones if isinstance(maxcones, FanTables) else FanTables(maxcones)
+        self._attach(_lattice_points(rays), tables)
+
+    @classmethod
+    def _on_points(cls, rays: tuple[LatticePoint, ...], tables: FanTables) -> Fan:
+        """A fan on rays that are already a tuple of integer tuples, as
+        :func:`toricfano.atlas.parse` and the builders make them, held as
+        given."""
+        fan = cls.__new__(cls)
+        fan._attach(rays, tables)
+        return fan
+
+    def _attach(self, rays: tuple[LatticePoint, ...], tables: FanTables) -> None:
+        self.rays = rays
         self.tables = tables
         # the tables' fields as plain attributes, read on every hot path
         self.maxcones = tables.maxcones
-        self._maxset = tables.maxset
+        self._maxindex = tables.maxindex
         self._container = tables.faces
         self.walls = tables.walls
         self.cones3 = tables.cones3
         self.cones2 = tables.cones2
-        self._bases: dict[Cone, tuple] = {}
-        self._relations: dict[Cone, dict] = {}
+        self._bases: list = [None] * len(tables.maxcones)
+        self._relations: list = [None] * len(tables.cones3)
+        # set once a call without arguments has filled the whole store
+        self._bases_full = self._relations_full = False
 
     @property
     def ray_count(self) -> int:
@@ -176,11 +302,12 @@ class Fan:
         return _cone(indices) in self._container
 
     def is_maxcone(self, indices: Iterable[int]) -> bool:
-        return _cone(indices) in self._maxset
+        return _cone(indices) in self._maxindex
 
-    def cone_bases(self, cones: Iterable[Cone] | None = None) -> dict[Cone, tuple]:
-        """The store of ``(duals, det)`` per maximal cone, filled for the
-        maximal cones ``cones`` (default: all of them) in one batch and
+    def cone_bases(self, cones: Iterable[Cone] | None = None) -> list:
+        """The store of ``(duals, det)`` per maximal cone, a list aligned
+        with :attr:`maxcones` (``None`` where not yet computed), filled for
+        the maximal cones ``cones`` (default: all of them) in one batch and
         returned whole.
 
         ``det`` is the determinant of the generators in index order and
@@ -189,27 +316,40 @@ class Fan:
         ``det`` is +-1 and ``Fraction`` otherwise. A degenerate cone is
         stored as ``(None, 0)``, so filling never raises on one; its readers
         raise :class:`FanError` naming the cone when they need its duals. A
-        cone that is not maximal raises :class:`FanError` and is not stored.
-        Each basis is computed once per fan, by :func:`adjugates4` over the
-        cones the store lacks.
+        cone that is not maximal raises :class:`FanError` before any basis
+        is computed. Each basis is computed once per fan, by
+        :func:`adjugates4` over the cones the store lacks.
         """
-        store = self._bases
         if cones is None:
-            if len(store) == len(self.maxcones):
+            return self._fill_bases(None)
+        index = self._maxindex
+        positions = []
+        for mc in cones:
+            h = index.get(mc)
+            if h is None:
+                raise FanError(f"{mc} is not a maximal cone of the fan")
+            positions.append(h)
+        return self._fill_bases(positions)
+
+    def _fill_bases(self, positions: Iterable[int] | None) -> list:
+        """:meth:`cone_bases` for the maximal cones at ``positions`` (all
+        when ``None``)."""
+        store = self._bases
+        if positions is None:
+            if self._bases_full:
                 return store
-            cones = self.maxcones
+            self._bases_full = True
+            missing = [h for h, entry in enumerate(store) if entry is None]
         else:
-            # the store holds maximal cones only, so its size tells when it is full
-            cones = dict.fromkeys(cones)
-            for mc in cones:
-                if mc not in self._maxset:
-                    raise FanError(f"{mc} is not a maximal cone of the fan")
-        missing = [mc for mc in cones if mc not in store]
-        if not missing:
-            return store
-        rays = self.rays
-        matrices = [(rays[i - 1], rays[j - 1], rays[k - 1], rays[l - 1]) for i, j, k, l in missing]
-        for mc, (adj, det) in zip(missing, adjugates4(matrices)):
+            missing = [h for h in dict.fromkeys(positions) if store[h] is None]
+            if not missing:
+                return store
+        rays, maxcones = self.rays, self.maxcones
+        matrices = []
+        for h in missing:
+            i, j, k, l = maxcones[h]
+            matrices.append((rays[i - 1], rays[j - 1], rays[k - 1], rays[l - 1]))
+        for h, (adj, det) in zip(missing, adjugates4(matrices)):
             if det == 1:
                 duals = adj
             elif det == -1:
@@ -221,7 +361,7 @@ class Fan:
                 duals = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
             else:
                 duals = None
-            store[mc] = (duals, det)
+            store[h] = (duals, det)
         return store
 
     def cone_basis(self, mc: Cone) -> tuple:
@@ -230,7 +370,10 @@ class Fan:
         :class:`FanError` naming the cone when it is degenerate (``det`` 0)
         or not a maximal cone.
         """
-        entry = self._bases.get(mc) or self.cone_bases((mc,))[mc]
+        h = self._maxindex.get(mc)
+        if h is None:
+            raise FanError(f"{mc} is not a maximal cone of the fan")
+        entry = self._bases[h] or self._fill_bases((h,))[h]
         if not entry[1]:
             raise FanError(f"cone {mc} is degenerate")
         return entry
@@ -248,16 +391,18 @@ class Fan:
             raise FanError(f"{cone} is not a cone of the fan")
         return self.cone_basis(mc)[0][mc.index(w)]
 
-    def wall_relations(self, walls: Iterable[Cone] | None = None) -> dict[Cone, dict]:
-        """The store of wall relations, filled for the sorted 3-cones ``walls``
-        (default: every wall, in :attr:`cones3` order) in one batch and
-        returned whole.
+    def wall_relations(self, walls: Iterable[Cone] | None = None) -> list:
+        """The store of wall relations, a list aligned with :attr:`cones3`
+        (``None`` where not yet computed), filled for the sorted 3-cones
+        ``walls`` (default: every wall, in :attr:`cones3` order) in one batch
+        and returned whole.
 
         With neighbours a < b in :attr:`walls`, ``tau + a`` is the maximal
         cone holding ``tau`` (at the first place where the two sorted cones
         differ, one has a and the other a larger ray). The relation of
-        ``tau`` maps each ray k of ``tau + a`` to the coordinate x_k in
-        ``v_b = sum_k x_k v_k``. The cones lie on opposite sides of ``tau``
+        ``tau`` is the 4-tuple of coordinates x_k in ``v_b = sum_k x_k v_k``
+        over the rays k of ``tau + a``, in their order; ``tables.wall_rows``
+        has the position of x_a. The cones lie on opposite sides of ``tau``
         exactly when x_a < 0, and x_w for w in ``tau`` gives the curve
         numbers (:meth:`curve_numbers`). The bases of the holders come from
         :meth:`cone_bases` in one call, and each relation is computed once
@@ -266,44 +411,65 @@ class Fan:
         maximal cones, or has a degenerate holder; the walls before it stay
         stored.
         """
-        store = self._relations
-        links = self.walls
-        container = self._container
         if walls is None:
-            if len(store) == len(links):
-                return store
-            todo = [tau for tau in self.cones3 if tau not in store]
-            bases = self.cone_bases()
-        else:
-            todo = [tau for tau in walls if tau not in store]
-            bases = self.cone_bases([container[tau] for tau in todo if tau in links])
-        rays = self.rays
-        for tau in todo:
-            link = links.get(tau)
-            if link is None:
+            return self._fill_relations(None)
+        at = self.tables.wall_at
+        positions = []
+        for tau in walls:
+            t = at.get(tau)
+            if t is None:
+                self._fill_relations(positions)
                 raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
+            positions.append(t)
+        return self._fill_relations(positions)
+
+    def _fill_relations(self, positions: Iterable[int] | None) -> list:
+        """:meth:`wall_relations` for the walls at ``positions`` (all when
+        ``None``)."""
+        store = self._relations
+        rows, links = self.tables.wall_rows, self.tables.wall_links
+        full = positions is None
+        if full:
+            if self._relations_full:
+                return store
+            todo = [t for t, x in enumerate(store) if x is None]
+            bases = self._fill_bases(None)
+        else:
+            todo = [t for t in dict.fromkeys(positions) if store[t] is None]
+            if not todo:
+                return store
+            bases = self._fill_bases([rows[t][0] for t in todo])
+        rays = self.rays
+        for t in todo:
+            link = links[t]
             if len(link) != 2:
-                raise FanError(f"wall {tau} lies in {len(link)} maximal cone(s)")
-            mc = container[tau]
-            duals, det = bases[mc]
+                raise FanError(f"wall {self.cones3[t]} lies in {len(link)} maximal cone(s)")
+            duals, det = bases[rows[t][0]]
             if not det:
-                raise FanError(f"cone {mc} is degenerate")
-            k0, k1, k2, k3 = mc
+                raise FanError(f"cone {self.maxcones[rows[t][0]]} is degenerate")
             (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = duals
             v0, v1, v2, v3 = rays[link[1] - 1]
-            store[tau] = {
-                k0: a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3,
-                k1: b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3,
-                k2: c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
-                k3: d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
-            }
+            store[t] = (
+                a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3,
+                b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3,
+                c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
+                d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
+            )
+        if full:
+            # set only here, so a full fill that raised leaves it unset
+            self._relations_full = True
         return store
 
     def wall_relation(self, tau: Cone) -> dict:
-        """The wall relation of the sorted 3-cone ``tau``, as
-        :meth:`wall_relations` stores it, computed as a batch of one when the
-        store lacks it. Raises as :meth:`wall_relations` does."""
-        return self._relations.get(tau) or self.wall_relations((tau,))[tau]
+        """The wall relation of the sorted 3-cone ``tau`` as a mapping from
+        each ray k of its holder to x_k, read from :meth:`wall_relations`,
+        which computes it as a batch of one when the store lacks it. Raises
+        as :meth:`wall_relations` does."""
+        t = self.tables.wall_at.get(tau)
+        if t is None:
+            raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
+        x = self._relations[t] or self._fill_relations((t,))[t]
+        return dict(zip(self.maxcones[self.tables.wall_rows[t][0]], x))
 
     def curve_numbers(self, tau: Cone) -> dict:
         """Intersection numbers of the invariant divisors with the curve of wall ``tau``.
@@ -390,6 +556,7 @@ def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]
     no collection as a subset, tested on bitmasks of ray indices. Raises
     :class:`FanError` for collections with duplicate or out-of-range indices.
     """
+    rays = _lattice_points(rays)
     masks = [sum(1 << i for i in c) for c in _check_collections(collections, len(rays))]
     indices = range(1, len(rays) + 1)
     subsets = itertools.combinations(indices, DIM)
@@ -401,7 +568,7 @@ def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]
                 break
         else:
             maxcones.append(mc)
-    return Fan(rays, maxcones)
+    return Fan._on_points(rays, FanTables(maxcones))
 
 
 def _triple_functionals(rays: Sequence[LatticePoint]) -> list[list[list]]:
@@ -443,6 +610,7 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
     set of a suitable polytope and :class:`FanError` is raised, naming at
     most :data:`MAX_PROBLEMS` of the problems.
     """
+    rays = _lattice_points(rays)
     n = len(rays)
     table = _triple_functionals(rays)
     maxcones = []
@@ -473,7 +641,7 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
                                 break
                     else:
                         maxcones.append((a + 1, b + 1, c + 1, d + 1))
-    fan = Fan(rays, maxcones)
+    fan = Fan._on_points(rays, FanTables(maxcones))
     report = validate_fan(fan)
     if not report.ok:
         raise FanError("not a Fano face fan: " + "; ".join(cap_problems(report.problems)))
@@ -550,9 +718,7 @@ def containing_cones(fan: Fan, point: Sequence[int]) -> Iterator[tuple[Cone, tup
     and the overlap check of :func:`validate_fan` both ask it.
     """
     p0, p1, p2, p3 = point
-    bases = fan.cone_bases()
-    for mc in fan.maxcones:
-        duals, det = bases[mc]
+    for mc, (duals, det) in zip(fan.maxcones, fan.cone_bases()):
         if not det:
             raise FanError(f"cone {mc} is degenerate")
         u0, u1, u2, u3 = duals
@@ -623,19 +789,21 @@ def validate_fan(fan: Fan) -> FanReport:
     Each kernel runs once per fan, as one batch: :meth:`Fan.cone_bases`
     over all maximal cones gives the determinants, then, when every cone is
     nondegenerate and every wall lies in two cones, :meth:`Fan.wall_relations`
-    over all walls gives the side test. The pairing check reads
-    :attr:`Fan.walls`. The cones of a wall lie on opposite sides exactly
-    when v_b has a negative coordinate x_a over the generators of
-    ``wall + a``. The point check asks :func:`containing_cones`, which reads
-    the filled bases. The fan keeps both stores, so later readers (the Fano
-    check, ch2) compute neither again.
+    over all walls gives the side test. Both stores are read by position,
+    alongside :attr:`Fan.maxcones` and :attr:`Fan.cones3`. The pairing check
+    reads the neighbours of each wall from ``tables.wall_links``. The
+    cones of a wall lie on opposite sides exactly when v_b has a negative
+    coordinate x_a over the generators of ``wall + a``, the holder, at the
+    position of a that ``tables.wall_rows`` records. The point check asks
+    :func:`containing_cones`, which reads the filled bases. The fan keeps
+    both stores, so later readers (the Fano check, ch2) compute neither
+    again.
     """
     problems = []
     simplicial_ok = True
     smooth = True
-    bases = fan.cone_bases()
-    for mc in fan.maxcones:
-        d = bases[mc][1]
+    maxcones = fan.maxcones
+    for mc, (_, d) in zip(maxcones, fan.cone_bases()):
         if not d:
             simplicial_ok = smooth = False
             problems.append(f"cone {mc} is degenerate")
@@ -643,19 +811,16 @@ def validate_fan(fan: Fan) -> FanReport:
             smooth = False
             problems.append(f"cone {mc} has determinant {d}")
 
-    walls = fan.walls
-    gaps = [] if fan.maxcones else ["fan has no maximal cones"]
-    for wall in fan.cones3:
-        if len(walls[wall]) != 2:
-            gaps.append(f"wall {wall} lies in {len(walls[wall])} maximal cone(s)")
+    tables = fan.tables
+    gaps = [] if maxcones else ["fan has no maximal cones"]
+    for wall, link in zip(fan.cones3, tables.wall_links):
+        if len(link) != 2:
+            gaps.append(f"wall {wall} lies in {len(link)} maximal cone(s)")
     if simplicial_ok and not gaps:
-        relations = fan.wall_relations()
-        for wall in fan.cones3:
-            a, b = walls[wall]
-            if relations[wall][a] >= 0:
-                cone_a, cone_b = _cone(wall + (a,)), _cone(wall + (b,))
-                gaps.append(f"cones {cone_a} and {cone_b} lie on one side of wall {wall}")
-        first = fan.maxcones[0]
+        for wall, x, (h, k), (_, b) in zip(fan.cones3, fan.wall_relations(), tables.wall_rows, tables.wall_links):
+            if x[k] >= 0:
+                gaps.append(f"cones {maxcones[h]} and {_cone(wall + (b,))} lie on one side of wall {wall}")
+        first = maxcones[0]
         point = tuple(map(sum, zip(*(fan.ray(i) for i in first))))
         gaps.extend(f"cones {first} and {mc} overlap" for mc, _ in containing_cones(fan, point) if mc != first)
     return FanReport(smooth, simplicial_ok and not gaps, simplicial_ok, problems + gaps)

@@ -1,8 +1,8 @@
 """Shared test machinery: the primitive-relation Fano criterion,
 functional perturbations, independent divisor-curve and ch2 oracles built
 on wall relations only, reference versions of the face table, the face-fan
-and the non-face searches, a cofactor 4x4 determinant, the rational
-null space, the solved dual functional, the anticanonical degree of a
+and the non-face searches, a cofactor 4x4 determinant, the adjugate of
+one matrix, the rational null space, the solved dual functional, the anticanonical degree of a
 curve, and the errata of the reference table."""
 
 import itertools
@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from toricfano.chern import divisor_dot_curve
-from toricfano.exactlin import _rref, adjugate4, dot, solve
+from toricfano.exactlin import _rref, adjugates4, dot, solve
 from toricfano.fan import Fan, _cone, minimal_nonfaces, primitive_relation
 
 
@@ -31,7 +31,7 @@ def det4(rows) -> int:
 
     Cofactor expansion along the first row; all intermediate values stay
     integral, so the result is exact for arbitrarily large entries. The
-    reference for the determinant that :func:`toricfano.exactlin.adjugate4`
+    reference for the determinant that :func:`toricfano.exactlin.adjugates4`
     returns.
     """
     r0, r1, r2, r3 = rows
@@ -42,6 +42,12 @@ def det4(rows) -> int:
             total += sign * r0[j] * _det3(_drop(r1, j), _drop(r2, j), _drop(r3, j))
         sign = -sign
     return total
+
+
+def adjugate4(cols):
+    """``(adj_rows, det)`` of the one 4x4 matrix with columns ``cols``:
+    :func:`toricfano.exactlin.adjugates4` on a batch of one."""
+    return adjugates4((cols,))[0]
 
 
 def nullspace(rows) -> list[tuple]:

@@ -523,3 +523,21 @@ def test_the_curve_criterion_agrees_with_the_relation_criterion(database):
         rec = _bundle(sixth_ray)
         assert verdicts(rec) == (False, False), sixth_ray
         assert validate_record(rec).problems == [f"anticanonical degree {degree} on the curve of wall (1, 2, 3)"]
+
+
+def test_fans_on_shared_tables_hold_the_parsed_rays_as_they_are(database):
+    from toricfano import atlas
+
+    # the first fan of a type is built from its collections; the rest take
+    # the record's rays, which parse made integer tuples, without converting them
+    first = set()
+    for i, analysis in atlas.analyse_each(database.records):
+        rec = database.records[i]
+        shared = analysis.tables is not None
+        fan = analysis.fan
+        assert fan.rays == rec.rays and all(type(v) is tuple for v in fan.rays), rec.name
+        if shared:
+            assert fan.rays is rec.rays, rec.name
+        else:
+            first.add(rec.name)
+    assert len(first) == 17

@@ -75,11 +75,12 @@ def test_default_path_never_calls_the_rational_solver(database, monkeypatch):
     assert two_fano == [("P4", Fraction(5, 2))]
 
 
-class CountedWrites(dict):
-    """A cache dict that counts how often each key is written."""
+class CountedWrites(list):
+    """A store list of ``size`` empty places that counts how often each
+    place is written."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, size):
+        super().__init__([None] * size)
         self.writes = Counter()
 
     def __setitem__(self, key, value):
@@ -99,14 +100,14 @@ def test_classify_reads_the_wall_relations_that_validation_cached(database, monk
     for name in ("H1", "M5", "124"):
         rec = database.lookup(name)
         fan = build_fan(rec.rays, rec.collections)
-        fan._relations = CountedWrites()
+        fan._relations = CountedWrites(len(fan.cones3))
         assert validate_fan(fan).ok
-        assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1))
+        assert fan._relations.writes == Counter(range(len(fan.cones3)))
         fans.append(fan)
     monkeypatch.setattr(toricfano.fan, "adjugates4", counted)
     for fan in fans:
         assert len(classify(fan).values) == len(fan.cones2)
-        assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1))
+        assert fan._relations.writes == Counter(range(len(fan.cones3)))
     assert calls == {}
 
 
@@ -119,15 +120,18 @@ def test_a_single_surface_fills_only_the_stores_around_it(fans):
             cold = Fan(fan.rays, fan.tables)
             ch2_dot_surface(cold, sigma)
             walls = {tau for tau in fan.cones3 if set(sigma) <= set(tau)}
-            assert set(cold._relations) == walls, (name, sigma)
-            assert set(cold._bases) == {holder[tau] for tau in walls} | {holder[sigma]}, (name, sigma)
+            filled = {tau for tau, x in zip(fan.cones3, cold._relations) if x is not None}
+            assert filled == walls, (name, sigma)
+            # each store place belongs to one maximal cone
+            filled = {mc for mc, entry in zip(fan.maxcones, cold._bases) if entry is not None}
+            assert filled == {holder[tau] for tau in walls} | {holder[sigma]}, (name, sigma)
 
 
 @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unvalidated"])
 def test_each_wall_relation_is_computed_once_per_fan(fans, validated):
     for name in ("P4", "H1", "M5", "117", "124"):
         fan = Fan(fans[name].rays, fans[name].maxcones)
-        fan._relations = CountedWrites()
+        fan._relations = CountedWrites(len(fan.cones3))
         if validated:
             assert validate_fan(fan).ok
         classify(fan)
@@ -135,7 +139,7 @@ def test_each_wall_relation_is_computed_once_per_fan(fans, validated):
             ch2_dot_surface(fan, sigma)
         for tau in fan.cones3:
             anticanonical_degree(fan, tau)
-        assert fan._relations.writes == Counter(dict.fromkeys(fan.cones3, 1)), name
+        assert fan._relations.writes == Counter(range(len(fan.cones3))), name
 
 
 def test_dual_functional_requires_membership(h1):
@@ -313,7 +317,7 @@ def test_classify_sweep_matches_the_single_surface_route_and_the_oracle(fans, or
         if validated:
             assert validate_fan(fresh).ok
         else:
-            assert fresh._relations == {}
+            assert fresh._relations == [None] * len(fresh.cones3)
         values = classify(fresh).values
         assert list(values) == list(fan.cones2)
         for sigma, value in values.items():
@@ -383,3 +387,31 @@ def test_classify_on_a_validated_fan_reads_no_link_and_no_single_surface_sum(fan
     for fan in validated + unvalidated:
         classify(fan)
     assert calls == {}
+
+
+def test_the_sweep_tables_are_built_once_per_table_set_and_only_by_classify(database, monkeypatch):
+    from toricfano.atlas import analyse_each
+    from toricfano.fan import FanTables
+
+    built = Counter()
+    build = FanTables._build_sweep
+
+    def counted(tables):
+        built[tables] += 1
+        return build(tables)
+
+    monkeypatch.setattr(FanTables, "_build_sweep", counted)
+    for rec in database:
+        fan = build_fan(rec.rays, rec.collections)
+        assert validate_fan(fan).ok
+        for sigma in fan.cones2:
+            ch2_dot_surface(fan, sigma)
+        assert fan.tables._sweep is None, rec.name
+    assert not built
+    # the records of a type share one table set, swept once for all of them
+    table_sets = {}
+    for _, analysis in analyse_each(database.records):
+        assert analysis.report.ok
+        classify(analysis.fan)
+        table_sets[analysis.fan.tables] = len(table_sets)
+    assert built == Counter(dict.fromkeys(table_sets, 1)) and len(table_sets) == 17

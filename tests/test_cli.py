@@ -463,10 +463,11 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
         # M5's collections are read from the file, so its round trip is searched
         db_args, database = _shuffled_atlas(tmp_path)
     fans, calls = Counter(), Counter()
-    fan_init = fan.Fan.__init__
+    # every fan, converted rays or not, is set up by Fan._attach
+    fan_attach = fan.Fan._attach
 
-    def init(self, rays, *args, **kwargs):
-        fan_init(self, rays, *args, **kwargs)
+    def attach(self, rays, tables):
+        fan_attach(self, rays, tables)
         fans[self.rays] += 1
 
     keys = {
@@ -483,7 +484,7 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
         return wrapper
 
     atlas.analyse.cache_clear()
-    monkeypatch.setattr(fan.Fan, "__init__", init)
+    monkeypatch.setattr(fan.Fan, "_attach", attach)
     for name in keys:
         wrapped = counted(name, getattr(fan, name))
         for module in (fan, atlas):
@@ -748,3 +749,40 @@ def test_validate_and_show_name_the_wall_of_a_non_fano_record(tmp_path, capsys):
         "    {5, 6}: v5 + v6 = 3*v1  degree -1",
         "    {1, 2, 3, 4}: v1 + v2 + v3 + v4 = 0  degree 4",
     ]
+
+
+@pytest.mark.parametrize("columns", [None, "60", "200"], ids=["unset", "60", "200"])
+def test_help_and_usage_errors_are_those_of_the_stock_formatter(columns, monkeypatch, capsys):
+    # the parser asks for the terminal width only when it formats, and then
+    # prints what argparse's own formatter prints at that width
+    import argparse
+
+    from toricfano import cli
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    argvs = (
+        ["--help"],
+        ["ch2", "--help"],
+        ["classify", "--help"],
+        ["validate", "--help"],
+        [],
+        ["ch2"],
+        ["ch2", "X", "--surface", "1"],
+        ["--format", "xml", "list"],
+    )
+
+    def outputs():
+        printed = []
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            printed.append((exc.value.code, *capsys.readouterr()))
+        return printed
+
+    lazy = outputs()
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    assert outputs() == lazy
+    assert len({out for _, out, _ in lazy}) == 5 and all(err.startswith("usage: ") for _, _, err in lazy[4:])

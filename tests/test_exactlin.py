@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import det4, nullspace
+from helpers import adjugate4, det4, nullspace
 
-from toricfano.exactlin import adjugate4, dot, solve
+from toricfano.exactlin import dot, solve
 
 
 def test_dot_examples():

@@ -11,6 +11,7 @@ from toricfano.fan import (
     Fan,
     FanError,
     FanReport,
+    _cone,
     build_fan,
     build_fan_from_rays,
     cap_problems,
@@ -207,8 +208,10 @@ def test_cone_basis_refuses_a_cone_that_is_not_maximal(h1):
     # (1, 2, 3, 4) contains the primitive collection {1, 2} of H1
     with pytest.raises(FanError, match=r"^\(1, 2, 3, 4\) is not a maximal cone of the fan$"):
         fan.cone_basis((1, 2, 3, 4))
-    # the store stays one of maximal cones, so the full fill still completes it
-    assert list(fan.cone_bases()) == list(fan.maxcones[1:] + fan.maxcones[:1])
+    # the store stays one of maximal cones: the refused cone has no place in
+    # it, only the first place is empty, and the full fill completes it
+    assert [entry is None for entry in fan._bases] == [True] + [False] * (len(fan.maxcones) - 1)
+    assert None not in fan.cone_bases() and len(fan._bases) == len(fan.maxcones)
     assert validate_fan(fan).ok
 
 
@@ -649,3 +652,50 @@ def test_face_table_matches_the_per_subset_construction(fans, p4):
         assert (fan.cones2, fan.cones3) == (cones2, cones3), name
         # the same walls and neighbours, in the same order: classify sweeps them in it
         assert list(fan.walls.items()) == list(walls.items()), name
+
+
+def test_position_tables_locate_each_holder_and_neighbour(fans, p4):
+    samples = dict(fans)
+    samples["pentagram"] = Fan(PENTAGRAM_RAYS, PENTAGRAM_CONES)
+    samples["P4 minus a cone"] = Fan(p4.rays, p4.maxcones[:-1])
+    random_fans, _ = _random_collection_fans(12)
+    samples.update((f"random {k}: {collections}", fan) for k, (collections, fan) in enumerate(random_fans))
+    for name, fan in samples.items():
+        tables = fan.tables
+        assert [tables.maxindex[mc] for mc in fan.maxcones] == list(range(len(fan.maxcones))), name
+        assert [tables.wall_at[tau] for tau in fan.cones3] == list(range(len(fan.cones3))), name
+        assert tables.wall_links == [fan.walls[tau] for tau in fan.cones3], name
+        for tau, (h, k) in zip(fan.cones3, tables.wall_rows):
+            holder = fan.maxcones[h]
+            # the holder is the wall plus its near neighbour, opposite the wall at k
+            assert holder == fan._container[tau] == _cone(tau + fan.walls[tau][:1]), (name, tau)
+            assert holder[k] == fan.walls[tau][0] and holder[:k] + holder[k + 1 :] == tau, (name, tau)
+
+
+def test_sweep_tables_list_each_wall_and_surface_pair_once(fans):
+    for name, fan in fans.items():
+        inside, outside, surface_rows = fan.tables.sweep()
+        for sigma, (h, i, j) in zip(fan.cones2, surface_rows):
+            holder = fan.maxcones[h]
+            assert holder == fan._container[sigma] and (holder[i], holder[j]) == sigma, (name, sigma)
+        pairs = []
+        for entry in inside + outside:
+            s, t, kn = entry[:3] if len(entry) == 3 else (entry[0], entry[1], entry[3])
+            sigma, tau = fan.cones2[s], fan.cones3[t]
+            (n,) = set(tau) - set(sigma)
+            holder = fan.maxcones[fan.tables.wall_rows[t][0]]
+            assert holder[kn] == n, (name, tau, sigma)
+            # inside exactly when n lies in the holder of sigma
+            assert (len(entry) == 3) == (n in fan._container[sigma]), (name, tau, sigma)
+            if len(entry) == 6:
+                assert entry[2] == n - 1 and (holder[entry[4]], holder[entry[5]]) == sigma, (name, tau, sigma)
+            pairs.append((tau, sigma))
+        expected = [(tau, sigma) for tau in fan.cones3 for sigma in itertools.combinations(tau, 2)]
+        assert sorted(pairs) == sorted(expected), name
+
+
+def test_a_fan_on_shared_tables_converts_the_rays_it_is_given(h1):
+    lists = [[float(x) for x in v] for v in H1_RAYS]
+    fan = Fan(lists, h1.tables)
+    assert fan.tables is h1.tables and fan == h1 and type(fan.rays) is tuple
+    assert all(type(v) is tuple and all(type(x) is int for x in v) for v in fan.rays)
