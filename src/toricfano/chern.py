@@ -144,27 +144,29 @@ def _wall_sum(fan: Fan, sigma: Cone):
     """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone from the wall table.
 
     The walls around sigma = (p, q) are the 3-cones tau = sigma + n in
-    :attr:`Fan.walls`, and their relations x are filled by one
-    :meth:`Fan.wall_relations` call, which computes no other wall. The curve
-    of tau meets D_w in -x_w points for w in tau. The term of n is then
-    -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q with u_p, u_q the duals of p, q
-    on sigma. Each x is a 4-tuple over the rays of the holder of tau, read
-    at the positions of n, p and q there.
+    :attr:`Fan.walls`. Each is found as a pair ``(t, n)``, with ``t`` its
+    index in :attr:`Fan.cones3` (``tables.wall_at``), and their relations x
+    are filled by one :meth:`Fan.wall_relations` call on those indices,
+    which computes no other wall. The curve of tau meets D_w in -x_w points
+    for w in tau. The term of n is then -x_n + <u_p, v_n> x_p +
+    <u_q, v_n> x_q with u_p, u_q the duals of p, q on sigma. Each x is a
+    4-tuple over the rays of the holder of tau, read at the positions of n,
+    p and q there.
     """
     p, q = sigma
     tables, rays = fan.tables, fan.rays
     at = tables.wall_at
-    around = {}
+    around = []
     for n in range(1, fan.ray_count + 1):
         tau = (n, p, q) if n < p else (p, n, q) if n < q else (p, q, n)
         t = at.get(tau)
         if t is not None and n != p and n != q:
-            around[tau] = (t, n)
-    relations = fan.wall_relations(around)
+            around.append((t, n))
+    relations = fan.wall_relations([t for t, _ in around])
     # the cone holding sigma holds two of these walls, so its basis is stored
     up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
     total = 0
-    for t, n in around.values():
+    for t, n in around:
         x = relations[t]
         holder = tables.maxcones[tables.wall_rows[t][0]]
         v = rays[n - 1]

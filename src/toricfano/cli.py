@@ -81,12 +81,19 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def cmd_show(args) -> int:
-    db = _load_db(args.db)
+def _lookup(db, name):
+    """The record called ``name``, or ``None`` once ``unknown variety: NAME``
+    is printed to stderr."""
     try:
-        rec = db.lookup(args.name)
+        return db.lookup(name)
     except KeyError:
-        print(f"unknown variety: {args.name}", file=sys.stderr)
+        print(f"unknown variety: {name}", file=sys.stderr)
+        return None
+
+
+def cmd_show(args) -> int:
+    rec = _lookup(_load_db(args.db), args.name)
+    if rec is None:
         return EXIT_FAIL
     print(f"variety {rec.name}")
     for i, ray in enumerate(rec.rays, 1):
@@ -123,11 +130,8 @@ def _parse_surface(text: str) -> tuple[int, int]:
 
 
 def cmd_ch2(args) -> int:
-    db = _load_db(args.db)
-    try:
-        rec = db.lookup(args.name)
-    except KeyError:
-        print(f"unknown variety: {args.name}", file=sys.stderr)
+    rec = _lookup(_load_db(args.db), args.name)
+    if rec is None:
         return EXIT_FAIL
     analysis = analyse(rec)
     fan, refusal = _fan_to_compute_on(args, analysis)
@@ -201,11 +205,10 @@ def cmd_classify(args) -> int:
         targets = []
         # each named variety once, in the order first given
         for name in dict.fromkeys(args.names):
-            try:
-                targets.append(db.lookup(name))
-            except KeyError:
-                print(f"unknown variety: {name}", file=sys.stderr)
+            rec = _lookup(db, name)
+            if rec is None:
                 return EXIT_FAIL
+            targets.append(rec)
 
     # one analysis at a time, a type at a time, each row and failure put at
     # its input index: each fan is dropped once its row is made, and after a

@@ -26,9 +26,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Vector = tuple
-Scalar = "int | Fraction"
-
 
 def dot(a: Sequence, b: Sequence):
     """Exact inner product of two equal-length vectors."""

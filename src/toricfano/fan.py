@@ -66,16 +66,17 @@ class FanTables:
     maximal cone that holds it, the first in sorted order that has it.
 
     The same pass records where a fan stores what it computes from its
-    rays, so the fan reads its stores by position. ``maxindex`` maps each
-    maximal cone to its index in :attr:`maxcones`. ``wall_rows``, aligned
-    with :attr:`cones3`, holds ``(h, k)`` per wall: the index ``h`` of its
-    holder in :attr:`maxcones` and the position ``k`` in the holder of the
-    ray opposite the wall, its near neighbour a. ``wall_links``, aligned
-    with :attr:`cones3` too, holds each wall's neighbours as :attr:`walls`
-    has them, so the far neighbour b is ``wall_links[t][1]`` on a wall in
-    exactly two maximal cones. :attr:`wall_at`, each wall's index in
-    :attr:`cones3`, serves the readers that are given walls, not positions,
-    and is built on first use.
+    rays: a fan's stores are addressed by index into :attr:`maxcones` and
+    :attr:`cones3`. ``maxindex`` maps each maximal cone to its index.
+    ``wall_rows``, aligned with :attr:`cones3`, holds ``(h, k)`` per wall:
+    the index ``h`` of its holder in :attr:`maxcones` and the position
+    ``k`` in the holder of the ray opposite the wall, its near neighbour a.
+    ``wall_links``, aligned with :attr:`cones3` too, holds each wall's
+    neighbours as :attr:`walls` has them, so the far neighbour b is
+    ``wall_links[t][1]`` on a wall in exactly two maximal cones.
+    :attr:`wall_at`, each wall's index in :attr:`cones3`, turns a wall into
+    its index for the readers that start from a wall, and is built on
+    first use.
 
     The minimal non-faces are filled in by :func:`minimal_nonfaces`, and
     the index tables of the ch2 sweep by :meth:`sweep`, each on first use.
@@ -244,18 +245,20 @@ class Fan:
     the atlas passes parsed rays, so neither converts them twice.
 
     Everything that reads the rays stays with the fan and is never shared,
-    in two stores, lists read and filled by position: :meth:`cone_bases`,
-    the dual basis and determinant of each maximal cone, aligned with
+    in two stores, lists addressed by position: :meth:`cone_bases`, the
+    dual basis and determinant of each maximal cone, aligned with
     :attr:`maxcones`, and :meth:`wall_relations`, one coordinate 4-tuple per
     wall in the order of its holder's rays, aligned with :attr:`cones3`.
     Each face is held by one maximal cone, whose dual basis serves every
-    functional on that face. Called without arguments, each method fills
-    its whole store in one loop and returns it, so :func:`validate_fan`
-    computes every basis and relation once, and the Fano check,
+    functional on that face. Each method takes indices into its list, fills
+    those places in one batch and returns the whole list. Called without
+    arguments, it fills every place, so :func:`validate_fan` computes every
+    basis and relation once, and the Fano check,
     :func:`~toricfano.chern.classify` and :func:`containing_cones` read the
-    stores with one call each. Given cones or walls, each fills only those,
-    so a single surface computes only the walls around it;
-    :meth:`cone_basis` and :meth:`wall_relation` are batches of one.
+    stores with one call each. A single surface passes the indices of the
+    walls around it (:func:`toricfano.chern.ch2_dot_surface`), so only
+    those are computed. :meth:`cone_basis` and :meth:`wall_relation` take
+    a cone or a wall, look up its index and fill it as a batch of one.
 
     The intersection methods raise :class:`FanError` naming the cone on a
     degenerate maximal cone, a wall outside exactly two maximal cones, or a
@@ -304,36 +307,21 @@ class Fan:
     def is_maxcone(self, indices: Iterable[int]) -> bool:
         return _cone(indices) in self._maxindex
 
-    def cone_bases(self, cones: Iterable[Cone] | None = None) -> list:
+    def cone_bases(self, positions: Iterable[int] | None = None) -> list:
         """The store of ``(duals, det)`` per maximal cone, a list aligned
         with :attr:`maxcones` (``None`` where not yet computed), filled for
-        the maximal cones ``cones`` (default: all of them) in one batch and
-        returned whole.
+        the maximal cones at the indices ``positions`` (default: all of
+        them) in one batch and returned whole.
 
         ``det`` is the determinant of the generators in index order and
         ``duals[k]`` the functional equal to 1 on generator ``mc[k]`` and 0
         on the others: the adjugate row divided by ``det``, so integers when
         ``det`` is +-1 and ``Fraction`` otherwise. A degenerate cone is
         stored as ``(None, 0)``, so filling never raises on one; its readers
-        raise :class:`FanError` naming the cone when they need its duals. A
-        cone that is not maximal raises :class:`FanError` before any basis
-        is computed. Each basis is computed once per fan, by
-        :func:`adjugates4` over the cones the store lacks.
+        raise :class:`FanError` naming the cone when they need its duals.
+        Each basis is computed once per fan, by :func:`adjugates4` over the
+        cones the store lacks.
         """
-        if cones is None:
-            return self._fill_bases(None)
-        index = self._maxindex
-        positions = []
-        for mc in cones:
-            h = index.get(mc)
-            if h is None:
-                raise FanError(f"{mc} is not a maximal cone of the fan")
-            positions.append(h)
-        return self._fill_bases(positions)
-
-    def _fill_bases(self, positions: Iterable[int] | None) -> list:
-        """:meth:`cone_bases` for the maximal cones at ``positions`` (all
-        when ``None``)."""
         store = self._bases
         if positions is None:
             if self._bases_full:
@@ -373,7 +361,7 @@ class Fan:
         h = self._maxindex.get(mc)
         if h is None:
             raise FanError(f"{mc} is not a maximal cone of the fan")
-        entry = self._bases[h] or self._fill_bases((h,))[h]
+        entry = self._bases[h] or self.cone_bases((h,))[h]
         if not entry[1]:
             raise FanError(f"cone {mc} is degenerate")
         return entry
@@ -391,11 +379,11 @@ class Fan:
             raise FanError(f"{cone} is not a cone of the fan")
         return self.cone_basis(mc)[0][mc.index(w)]
 
-    def wall_relations(self, walls: Iterable[Cone] | None = None) -> list:
+    def wall_relations(self, positions: Iterable[int] | None = None) -> list:
         """The store of wall relations, a list aligned with :attr:`cones3`
-        (``None`` where not yet computed), filled for the sorted 3-cones
-        ``walls`` (default: every wall, in :attr:`cones3` order) in one batch
-        and returned whole.
+        (``None`` where not yet computed), filled for the walls at the
+        indices ``positions`` (default: every wall) in one batch and
+        returned whole.
 
         With neighbours a < b in :attr:`walls`, ``tau + a`` is the maximal
         cone holding ``tau`` (at the first place where the two sorted cones
@@ -407,25 +395,9 @@ class Fan:
         numbers (:meth:`curve_numbers`). The bases of the holders come from
         :meth:`cone_bases` in one call, and each relation is computed once
         per fan. Raises :class:`FanError` at the first wall, in the order
-        given, that is not a 3-cone of the fan, lies in other than two
-        maximal cones, or has a degenerate holder; the walls before it stay
-        stored.
+        given, that lies in other than two maximal cones or has a degenerate
+        holder; the walls before it stay stored.
         """
-        if walls is None:
-            return self._fill_relations(None)
-        at = self.tables.wall_at
-        positions = []
-        for tau in walls:
-            t = at.get(tau)
-            if t is None:
-                self._fill_relations(positions)
-                raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
-            positions.append(t)
-        return self._fill_relations(positions)
-
-    def _fill_relations(self, positions: Iterable[int] | None) -> list:
-        """:meth:`wall_relations` for the walls at ``positions`` (all when
-        ``None``)."""
         store = self._relations
         rows, links = self.tables.wall_rows, self.tables.wall_links
         full = positions is None
@@ -433,12 +405,12 @@ class Fan:
             if self._relations_full:
                 return store
             todo = [t for t, x in enumerate(store) if x is None]
-            bases = self._fill_bases(None)
+            bases = self.cone_bases()
         else:
             todo = [t for t in dict.fromkeys(positions) if store[t] is None]
             if not todo:
                 return store
-            bases = self._fill_bases([rows[t][0] for t in todo])
+            bases = self.cone_bases([rows[t][0] for t in todo])
         rays = self.rays
         for t in todo:
             link = links[t]
@@ -464,11 +436,12 @@ class Fan:
         """The wall relation of the sorted 3-cone ``tau`` as a mapping from
         each ray k of its holder to x_k, read from :meth:`wall_relations`,
         which computes it as a batch of one when the store lacks it. Raises
-        as :meth:`wall_relations` does."""
+        :class:`FanError` when ``tau`` is not a 3-cone of the fan, and
+        otherwise as :meth:`wall_relations` does."""
         t = self.tables.wall_at.get(tau)
         if t is None:
             raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
-        x = self._relations[t] or self._fill_relations((t,))[t]
+        x = self._relations[t] or self.wall_relations((t,))[t]
         return dict(zip(self.maxcones[self.tables.wall_rows[t][0]], x))
 
     def curve_numbers(self, tau: Cone) -> dict:
@@ -549,16 +522,12 @@ def _check_collections(collections, ray_count) -> list[Cone]:
     return out
 
 
-def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]) -> Fan:
-    """Build the fan whose non-faces are generated by ``collections``.
-
-    A 4-subset of ray indices spans a maximal cone exactly when it contains
-    no collection as a subset, tested on bitmasks of ray indices. Raises
-    :class:`FanError` for collections with duplicate or out-of-range indices.
-    """
-    rays = _lattice_points(rays)
-    masks = [sum(1 << i for i in c) for c in _check_collections(collections, len(rays))]
-    indices = range(1, len(rays) + 1)
+def _free_subsets(ray_count: int, collections: Iterable[Cone]) -> list[Cone]:
+    """The 4-subsets of ``1..ray_count`` that contain no collection, in
+    lexicographic order: the maximal cones of the fan the collections
+    generate. The test runs on bitmasks of ray indices."""
+    masks = [sum(1 << i for i in c) for c in collections]
+    indices = range(1, ray_count + 1)
     subsets = itertools.combinations(indices, DIM)
     subset_bits = map(sum, itertools.combinations([1 << i for i in indices], DIM))
     maxcones = []
@@ -568,6 +537,18 @@ def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]
                 break
         else:
             maxcones.append(mc)
+    return maxcones
+
+
+def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]) -> Fan:
+    """Build the fan whose non-faces are generated by ``collections``.
+
+    A 4-subset of ray indices spans a maximal cone exactly when it contains
+    no collection as a subset (:func:`_free_subsets`). Raises
+    :class:`FanError` for collections with duplicate or out-of-range indices.
+    """
+    rays = _lattice_points(rays)
+    maxcones = _free_subsets(len(rays), _check_collections(collections, len(rays)))
     return Fan._on_points(rays, FanTables(maxcones))
 
 
@@ -852,22 +833,18 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
     by a lattice automorphism (see :func:`lattice_equivalent`).
     """
     pairs = _relation_pairs(relations)
-    collections = [set(coll) for coll, _ in pairs]
+    collections = [_cone(set(coll)) for coll, _ in pairs]
     for coll, coeffs in pairs:
         for i in list(coll) + list(coeffs):
             if not 1 <= i <= ray_count:
                 raise FanError(f"relation index {i} outside 1..{ray_count}")
 
-    seed = next(
-        (
-            mc
-            for mc in itertools.combinations(range(1, ray_count + 1), DIM)
-            if not any(p <= set(mc) for p in collections)
-        ),
-        None,
-    )
-    if seed is None:
+    # the maximal cones depend on the collections alone: the seed is the
+    # first, and the reconstructed fan is built on the same tables
+    tables = FanTables(_free_subsets(ray_count, collections))
+    if not tables.maxcones:
         raise FanError("underdetermined: no 4-subset is free of the collections")
+    seed = tables.maxcones[0]
 
     unknowns = [i for i in range(1, ray_count + 1) if i not in seed]
     if unknowns and not pairs:
@@ -901,8 +878,9 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
                 rays[i][c] = int(v)
 
     result = tuple(tuple(rays[i]) for i in range(1, ray_count + 1))
-    fan = build_fan(result, [_cone(p) for p in collections])
-    report = validate_fan(fan)
+    # the collection sizes that build_fan accepts
+    _check_collections(collections, ray_count)
+    report = validate_fan(Fan._on_points(result, tables))
     if not report.ok:
         raise FanError("reconstructed rays are invalid: " + "; ".join(cap_problems(report.problems)))
     return result

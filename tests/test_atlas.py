@@ -186,6 +186,43 @@ def test_parse_rejects_negative_collection_count():
     assert parse(text.replace("-3", "0")).lookup("X").collections == ()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("variety X\nrays 0\nend\n", "line 2: X: ray count must be positive"),
+        (
+            "variety X\nrays 1\n1 0 0 0\n",
+            "line 3: unexpected end of input while reading 'collections' or 'end' of X",
+        ),
+        ("variety X\nrays 1\n1 0 0 0\ncollections\nend\n", "line 4: X: expected 'collections <m>'"),
+        (
+            "variety X\nrays 2\n1 0 0 0\n0 1 0 0\ncollections 2\n1 2\nend\n",
+            "line 7: X: expected 2 collection lines, found 1",
+        ),
+        (
+            "variety X\nrays 2\n1 0 0 0\n0 1 0 0\ncollections 2\n1 2\n",
+            "line 6: unexpected end of input while reading collection 2 of X",
+        ),
+        (
+            "variety X\nrays 2\n1 0 0 0\n0 1 0 0\ncollections 1\n1 2\n",
+            "line 6: unexpected end of input while reading 'end' of X",
+        ),
+        ("variety X\nrays 1\n1 0 0 0\nbogus\n", "line 4: X: expected 'end', got: bogus"),
+    ],
+    ids=[
+        "no-rays",
+        "eof-after-rays",
+        "bare-collections",
+        "short-collections",
+        "eof-in-collections",
+        "eof-before-end",
+        "no-end",
+    ],
+)
+def test_parse_errors_name_the_line_and_what_was_expected(text, message):
+    assert _parse_error(text) == message
+
+
 def test_parse_errors_quote_short_input_whole():
     line = "bogus " + "x" * 74  # 80 characters: not cut
     assert _parse_error(line + "\n") == f"line 1: expected 'variety <name>', got: {line}"

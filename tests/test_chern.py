@@ -154,6 +154,15 @@ def test_divisor_dot_curve_examples(h1, p4):
     assert divisor_dot_curve(h1, 2, (2, 3, 4)) == 0
 
 
+def test_divisor_dot_curve_with_a_functional_outside_the_curve_reads_only_the_cones(h1, p4):
+    def no_functional(fan, w, cone):
+        raise AssertionError("a divisor outside the curve needs no functional")
+
+    # (1, 2, 3, 5) is a maximal cone of P4, and {3, 4, 5} spans no cone of H1
+    assert divisor_dot_curve(p4, 5, (1, 2, 3), no_functional) == 1
+    assert divisor_dot_curve(h1, 5, (2, 3, 4), no_functional) == 0
+
+
 def test_divisor_dot_surface_examples(h1, p4):
     assert divisor_dot_surface(p4, 4, (1, 2)) == {(1, 2, 4): 1}
     # {3,4,5} spans no cone, so ray 5 misses V(3,4) entirely

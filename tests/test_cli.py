@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import ERRATA
@@ -87,6 +91,12 @@ def test_ch2_malformed_surface_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ch2", "H1", "--surface", "3;4"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["ch2", "H1", "--surface", "1,x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "toricfano ch2: error: argument --surface: surface indices must be integers"
 
 
 def test_ch2_full_listing(capsys):
@@ -150,6 +160,10 @@ def test_classify_requires_names_or_all(capsys):
     assert code == 1
 
 
+def test_classify_unknown_variety(capsys):
+    assert run(capsys, "classify", "P4", "XX") == (1, "", "unknown variety: XX\n")
+
+
 def test_classify_rejects_invalid_record(tmp_path, capsys):
     text = (
         "variety bad\nrays 5\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n-2 -1 -1 -1\n"
@@ -181,6 +195,34 @@ def test_paper_table_json_row_shape(capsys):
     assert len(rows) == 66
     assert list(rows[0]) == ["variety", "surface", "value"]
     assert rows[0] == {"variety": "E1", "surface": "V(2,3)", "value": "-2"}
+
+
+def _atlas_file(tmp_path, records):
+    from toricfano.atlas import AtlasDatabase
+
+    path = tmp_path / "atlas.txt"
+    path.write_text(render(AtlasDatabase(tuple(records))))
+    return str(path)
+
+
+def test_paper_table_names_a_missing_reference_variety(tmp_path, capsys):
+    path = _atlas_file(tmp_path, [rec for rec in shipped_database() if rec.name != "G3"])
+    assert run(capsys, "--db", path, "paper-table") == (1, "", "missing variety: G3\n")
+
+
+def test_paper_table_flags_a_reference_surface_that_is_not_a_cone(tmp_path, capsys):
+    _, shipped_out, shipped_err = run(capsys, "paper-table")
+    db = shipped_database()
+    # U1 has no 2-cone (1, 5), the surface of the G1 row
+    u1 = db.lookup("U1")
+    records = [u1._replace(name="G1") if rec.name == "G1" else rec for rec in db]
+    code, out, err = run(capsys, "--db", _atlas_file(tmp_path, records), "paper-table")
+    assert code == 1
+    rows = shipped_out.splitlines()
+    g1 = next(i for i, row in enumerate(rows) if row.startswith("G1\t"))
+    rows[g1] = "G1\tV(1,5)\tn/a"
+    assert out.splitlines() == rows
+    assert err.splitlines() == ["mismatch: G1 V(1,5): surface is not a cone"] + shipped_err.splitlines()
 
 
 def test_paper_table_detects_corrupted_ray(tmp_path, capsys):
@@ -786,3 +828,14 @@ def test_help_and_usage_errors_are_those_of_the_stock_formatter(columns, monkeyp
     monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
     assert outputs() == lazy
     assert len({out for _, out, _ in lazy}) == 5 and all(err.startswith("usage: ") for _, _, err in lazy[4:])
+
+
+def test_the_module_runs_as_a_script(capsys):
+    expected = run(capsys, "classify", "P4")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricfano.cli", "classify", "P4"], capture_output=True, text=True, env=env, check=False
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected

@@ -112,6 +112,15 @@ def test_build_fan_rejects_bad_collections():
         build_fan(P4_RAYS, ((1, 9),))
     with pytest.raises(FanError):
         build_fan(P4_RAYS, ((1, 1, 2),))
+    with pytest.raises(FanError, match=r"^collection \(1,\) must have between 2 and 5 members$"):
+        build_fan(P4_RAYS, ((1,),))
+
+
+def test_primitive_relation_names_a_sum_that_no_cone_contains():
+    # v1 + v2 + v3 + v4 = -v5 lies inside only the missing cone (1, 2, 3, 4)
+    fan = Fan(P4_RAYS, [mc for mc in itertools.combinations(range(1, 6), 4) if mc != (1, 2, 3, 4)])
+    with pytest.raises(FanError, match=r"^no containing cone for the ray sum of \(1, 2, 3, 4\)$"):
+        primitive_relation(fan, (1, 2, 3, 4))
 
 
 def test_minimal_nonfaces_round_trip(h1, p4):
@@ -391,6 +400,24 @@ def test_reconstruct_rays_inconsistent():
     relations[3] = ((2, 7), {1: 1})  # v2 + v7 = v1 contradicts the rest
     with pytest.raises(FanError, match="inconsistent"):
         reconstruct_rays(relations, 8)
+
+
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        ([((1, 2, 3, 4, 5), {6: 1})], "relation index 6 outside 1..5"),
+        # every 4-subset of five rays contains {1, 2} or {3, 4}
+        ([((1, 2), {}), ((3, 4), {}), ((1, 3), {})], "underdetermined: no 4-subset is free of the collections"),
+        ([], "underdetermined: no relations given"),
+        # 2 v5 = -(v1 + v2 + v3 + v4)
+        ([((1, 2, 3, 4, 5), {5: -1})], "inconsistent: ray 5 has non-integral coordinate -1/2"),
+    ],
+    ids=["index", "no-free-subset", "no-relations", "non-integral"],
+)
+def test_reconstruct_rays_names_what_it_cannot_reconstruct(relations, message):
+    with pytest.raises(FanError) as exc:
+        reconstruct_rays(relations, 5)
+    assert str(exc.value) == message
 
 
 def test_reconstruct_rays_round_trips_from_computed_relations(database, fans):
