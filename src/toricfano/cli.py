@@ -20,7 +20,7 @@ from .atlas import (
     shipped_database,
 )
 from .chern import ch2_dot_surface
-from .fan import FanError, primitive_relation
+from .fan import FanError, build_star, primitive_relation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -129,10 +129,27 @@ def _parse_surface(text: str) -> tuple[int, int]:
     return (i, j)
 
 
+def _print_surface(args, rec, fan) -> int:
+    sigma = tuple(sorted(args.surface))
+    if sigma not in fan.cones2:
+        print(f"not a cone of {rec.name}: {_surface_str(args.surface)}", file=sys.stderr)
+        return EXIT_FAIL
+    value = ch2_dot_surface(fan, sigma)
+    if args.format == "json":
+        _print_json({"variety": rec.name, "surface": _surface_str(sigma), "value": str(value)})
+    else:
+        print(value)
+    return EXIT_OK
+
+
 def cmd_ch2(args) -> int:
     rec = _lookup(_load_db(args.db), args.name)
     if rec is None:
         return EXIT_FAIL
+    if args.surface is not None and args.db is None:
+        # the test suite validates the bundled records, and one surface
+        # needs only the maximal cones that contain it
+        return _print_surface(args, rec, build_star(rec.rays, rec.collections, args.surface))
     analysis = analyse(rec)
     fan, refusal = _fan_to_compute_on(args, analysis)
     if fan is None:
@@ -140,16 +157,7 @@ def cmd_ch2(args) -> int:
         return EXIT_FAIL
 
     if args.surface is not None:
-        sigma = tuple(sorted(args.surface))
-        if sigma not in fan.cones2:
-            print(f"not a cone of {rec.name}: {_surface_str(args.surface)}", file=sys.stderr)
-            return EXIT_FAIL
-        value = ch2_dot_surface(fan, sigma)
-        if args.format == "json":
-            _print_json({"variety": rec.name, "surface": _surface_str(sigma), "value": str(value)})
-        else:
-            print(value)
-        return EXIT_OK
+        return _print_surface(args, rec, fan)
 
     report = analysis.ch2
     rows = [
@@ -305,33 +313,29 @@ def cmd_validate(args) -> int:
 
 
 class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's help formatter, asking for the terminal width only when it
-    formats help, usage or an error.
+    """argparse's help formatter, set up only when it formats help, usage
+    or an error.
 
     argparse makes a formatter for every ``add_argument`` to check the
-    metavar, and the stock constructor asks ``shutil`` for the terminal
-    width, so building the parser would import ``shutil`` (with ``bz2``,
-    ``lzma`` and ``fnmatch``) although nothing is printed. Here the width
-    and the help position that depends on it are set on first read, by a
-    stock formatter made with the measured width, so the output is the
-    stock output.
+    metavar, which reads no attribute of the formatter. The stock
+    constructor asks ``shutil`` for the terminal width, so building the
+    parser would import ``shutil`` (with ``bz2``, ``lzma`` and ``fnmatch``),
+    and it compiles two patterns and makes a section, although nothing is
+    printed. Here the constructor keeps its arguments, and the first read
+    of an attribute not set runs the stock constructor with them, so the
+    output is the stock output.
     """
 
     def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        super().__init__(prog, indent_increment, max_help_position, 0 if width is None else width)
-        if width is None:
-            self._max_help_position_asked = max_help_position
-            del self._width, self._max_help_position
+        self._deferred = (prog, indent_increment, max_help_position, width)
 
     def __getattr__(self, name):
-        # called only for attributes not set, so only for the two deferred ones
-        if name not in ("_width", "_max_help_position"):
+        # called only for attributes not set: the first call sets them all,
+        # and after it a missing attribute is really missing
+        deferred = self.__dict__.pop("_deferred", None)
+        if deferred is None:
             raise AttributeError(name)
-        import shutil
-
-        width = shutil.get_terminal_size().columns - 2
-        stock = argparse.HelpFormatter(self._prog, self._indent_increment, self._max_help_position_asked, width)
-        self._width, self._max_help_position = stock._width, stock._max_help_position
+        argparse.HelpFormatter.__init__(self, *deferred)
         return getattr(self, name)
 
 
@@ -369,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_HelpFormatter,
     )
     _add_common_options(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the prog that argparse would otherwise work out by formatting a usage
+    # line: the main parser has no positional argument before the verb
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def subparser(name, func, help_text):
         p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)

@@ -522,21 +522,28 @@ def _check_collections(collections, ray_count) -> list[Cone]:
     return out
 
 
-def _free_subsets(ray_count: int, collections: Iterable[Cone]) -> list[Cone]:
-    """The 4-subsets of ``1..ray_count`` that contain no collection, in
-    lexicographic order: the maximal cones of the fan the collections
-    generate. The test runs on bitmasks of ray indices."""
-    masks = [sum(1 << i for i in c) for c in collections]
-    indices = range(1, ray_count + 1)
-    subsets = itertools.combinations(indices, DIM)
-    subset_bits = map(sum, itertools.combinations([1 << i for i in indices], DIM))
+def _free_subsets(ray_count: int, collections: Iterable[Cone], sigma: Cone = ()) -> list[Cone]:
+    """The 4-subsets of ``1..ray_count`` that contain the sorted cone
+    ``sigma`` and no collection, in lexicographic order: the maximal cones
+    of the fan the collections generate, and with ``sigma`` those of its
+    star. A ``sigma`` with a repeated index or one outside ``1..ray_count``
+    is in no 4-subset. The test runs on bitmasks of ray indices; a subset
+    is ``sigma`` plus rays outside it, so it contains a collection exactly
+    when it contains the collection's rays outside ``sigma``."""
+    if len(set(sigma)) != len(sigma) or not all(1 <= i <= ray_count for i in sigma):
+        return []
+    masks = [sum(1 << i for i in c if i not in sigma) for c in collections]
+    indices = [i for i in range(1, ray_count + 1) if i not in sigma]
+    size = DIM - len(sigma)
+    subsets = itertools.combinations(indices, size)
+    subset_bits = map(sum, itertools.combinations([1 << i for i in indices], size))
     maxcones = []
-    for mc, bits in zip(subsets, subset_bits):
+    for rest, bits in zip(subsets, subset_bits):
         for m in masks:
             if m & bits == m:
                 break
         else:
-            maxcones.append(mc)
+            maxcones.append(_cone(sigma + rest) if sigma else rest)
     return maxcones
 
 
@@ -549,6 +556,24 @@ def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]
     """
     rays = _lattice_points(rays)
     maxcones = _free_subsets(len(rays), _check_collections(collections, len(rays)))
+    return Fan._on_points(rays, FanTables(maxcones))
+
+
+def build_star(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]], sigma: Iterable[int]) -> Fan:
+    """The star of the cone ``sigma`` in ``build_fan(rays, collections)``:
+    the maximal cones that contain ``sigma``, on the same rays, and none
+    when ``sigma`` is not a cone. Raises as :func:`build_fan`.
+
+    The invariant surface of a 2-cone sigma is the toric variety of its
+    star (Fulton, *Introduction to Toric Varieties*, 3.1), and the star
+    gives :func:`toricfano.chern.ch2_dot_surface` the value of the full
+    fan. Every maximal cone that contains a wall sigma + n contains sigma,
+    so the star holds both cones of each wall around sigma, and the first
+    of them in sorted order, the wall's holder, is the full fan's; so is
+    the holder of sigma. Those are all that the single surface reads.
+    """
+    rays = _lattice_points(rays)
+    maxcones = _free_subsets(len(rays), _check_collections(collections, len(rays)), _cone(sigma))
     return Fan._on_points(rays, FanTables(maxcones))
 
 
@@ -825,19 +850,27 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
     ``(collection, coeffs)`` pairs encoding the exact integer relations.
     The lexicographically first 4-subset containing no collection is seeded
     with the standard basis, and the relations are solved for the remaining
-    rays. Raises :class:`FanError` with "underdetermined" when the relations
-    do not pin down every ray, or "inconsistent" when they contradict each
-    other; the reconstructed fan must validate as smooth and complete.
+    rays. Raises :class:`FanError` naming the relation when its collection
+    repeats an index or a coefficient is not positive, before any solving,
+    with "underdetermined" when the relations do not pin down every ray, or
+    "inconsistent" when they contradict each other; the reconstructed fan
+    must validate as smooth and complete.
 
     The result is one representative: any other valid seed differs from it
     by a lattice automorphism (see :func:`lattice_equivalent`).
     """
     pairs = _relation_pairs(relations)
-    collections = [_cone(set(coll)) for coll, _ in pairs]
     for coll, coeffs in pairs:
         for i in list(coll) + list(coeffs):
             if not 1 <= i <= ray_count:
                 raise FanError(f"relation index {i} outside 1..{ray_count}")
+        # a repeated index would count as a coefficient 2 on its ray
+        if len(set(coll)) != len(coll):
+            raise FanError(f"relation of collection {coll} has duplicate entries")
+        for j, c in coeffs.items():
+            if c <= 0:
+                raise FanError(f"relation of collection {coll} has coefficient {c} on ray {j}, not positive")
+    collections = [coll for coll, _ in pairs]
 
     # the maximal cones depend on the collections alone: the seed is the
     # first, and the reconstructed fan is built on the same tables

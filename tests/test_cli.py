@@ -385,6 +385,46 @@ def test_single_surface_query_computes_only_the_cone_bases_it_reads(monkeypatch,
         assert calls["validate_fan"] == calls["classify"] == 0, (name, calls)
 
 
+def test_single_surface_query_on_the_star_answers_as_the_full_fan(database, fans, monkeypatch, capsys):
+    # every surface query on the bundled atlas, indices 0..n+1 and I = J
+    # included, on the star of sigma and on the full fan; the full fan takes
+    # the star's place in the same command
+    import argparse
+
+    from toricfano import cli, fan
+
+    def ask(rec, i, j, fmt):
+        args = argparse.Namespace(db=None, format=fmt, name=rec.name, surface=(i, j))
+        return cli.cmd_ch2(args), *capsys.readouterr()
+
+    built = []
+
+    def recorded(*args):
+        built.append(free_subsets(*args))
+        return built[-1]
+
+    free_subsets = fan._free_subsets
+    monkeypatch.setattr(fan, "_free_subsets", recorded)
+    star = {}
+    for rec in database:
+        n = len(rec.rays)
+        for i in range(n + 2):
+            for j in range(n + 2):
+                for fmt in ("tsv", "json"):
+                    built.clear()
+                    star[rec.name, i, j, fmt] = ask(rec, i, j, fmt)
+                    # only the maximal cones that contain sigma are built
+                    sigma = {i, j}
+                    full = [mc for mc in fans[rec.name].maxcones if len(sigma) == 2 and sigma <= set(mc)]
+                    assert built == [full], (rec.name, i, j)
+    assert {code for code, _, _ in star.values()} == {0, 1}
+
+    full_fans = {(rec.rays, rec.collections): fans[rec.name] for rec in database}
+    monkeypatch.setattr(cli, "build_star", lambda rays, collections, sigma: full_fans[rays, collections])
+    for (name, i, j, fmt), answer in star.items():
+        assert ask(database.lookup(name), i, j, fmt) == answer, (name, i, j, fmt)
+
+
 def test_common_flags_accepted_before_and_after_verb(capsys):
     _, before, _ = run(capsys, "--format", "json", "--jobs", "2", "classify", "H1")
     _, after, _ = run(capsys, "classify", "H1", "--format", "json", "--jobs", "2")
@@ -828,6 +868,39 @@ def test_help_and_usage_errors_are_those_of_the_stock_formatter(columns, monkeyp
     monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
     assert outputs() == lazy
     assert len({out for _, out, _ in lazy}) == 5 and all(err.startswith("usage: ") for _, _, err in lazy[4:])
+
+
+def test_building_and_parsing_set_up_no_help_formatter(monkeypatch):
+    # argparse makes a formatter per add_argument, and one to work out the
+    # prog of the subcommands unless it is given; none is set up
+    import argparse
+
+    from toricfano import cli
+
+    stock = argparse.HelpFormatter.__init__
+    made = []
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        stock(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.HelpFormatter, "__init__", counted)
+    parser = cli.build_parser()
+    assert parser.parse_args(["ch2", "H1", "--surface", "3,4"]).surface == (3, 4)
+    assert made == []
+    assert parser.format_usage().startswith("usage: toricfano ")
+    assert len(made) == 1
+
+
+def test_help_formatter_lacks_what_no_formatter_has():
+    from toricfano import cli
+
+    formatter = cli._HelpFormatter("toricfano", width=60)
+    # the first read sets the formatter up, and a missing attribute stays missing
+    for _ in range(2):
+        with pytest.raises(AttributeError):
+            formatter.no_such_attribute
+    assert formatter._width == 60 and formatter._prog == "toricfano"
 
 
 def test_the_module_runs_as_a_script(capsys):

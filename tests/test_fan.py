@@ -403,20 +403,29 @@ def test_reconstruct_rays_inconsistent():
 
 
 @pytest.mark.parametrize(
-    "relations, message",
+    "relations, ray_count, message",
     [
-        ([((1, 2, 3, 4, 5), {6: 1})], "relation index 6 outside 1..5"),
+        ([((1, 2, 3, 4, 5), {6: 1})], 5, "relation index 6 outside 1..5"),
         # every 4-subset of five rays contains {1, 2} or {3, 4}
-        ([((1, 2), {}), ((3, 4), {}), ((1, 3), {})], "underdetermined: no 4-subset is free of the collections"),
-        ([], "underdetermined: no relations given"),
-        # 2 v5 = -(v1 + v2 + v3 + v4)
-        ([((1, 2, 3, 4, 5), {5: -1})], "inconsistent: ray 5 has non-integral coordinate -1/2"),
+        ([((1, 2), {}), ((3, 4), {}), ((1, 3), {})], 5, "underdetermined: no 4-subset is free of the collections"),
+        ([], 5, "underdetermined: no relations given"),
+        # read as 2 v1 + v2 + ... + v5 = 0, it would solve
+        ([((1, 1, 2, 3, 4, 5), {})], 5, "relation of collection (1, 1, 2, 3, 4, 5) has duplicate entries"),
+        # read as 2 v5 = -(v1 + v2 + v3 + v4), it would solve to a half
+        (
+            [((1, 2, 3, 4, 5), {5: -1})],
+            5,
+            "relation of collection (1, 2, 3, 4, 5) has coefficient -1 on ray 5, not positive",
+        ),
+        ([((1, 2, 3, 4, 5), {5: 0})], 5, "relation of collection (1, 2, 3, 4, 5) has coefficient 0 on ray 5, not positive"),
+        # the seed (1, 3, 4, 5) is the standard basis: v2 = 2 e2 - e1, and 2 v6 = v2 + v3 = 3 e2 - e1
+        ([((1, 2), {3: 2}), ((2, 3), {6: 2})], 6, "inconsistent: ray 6 has non-integral coordinate -1/2"),
     ],
-    ids=["index", "no-free-subset", "no-relations", "non-integral"],
+    ids=["index", "no-free-subset", "no-relations", "duplicate", "negative", "zero", "non-integral"],
 )
-def test_reconstruct_rays_names_what_it_cannot_reconstruct(relations, message):
+def test_reconstruct_rays_names_what_it_cannot_reconstruct(relations, ray_count, message):
     with pytest.raises(FanError) as exc:
-        reconstruct_rays(relations, 5)
+        reconstruct_rays(relations, ray_count)
     assert str(exc.value) == message
 
 

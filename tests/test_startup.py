@@ -9,7 +9,8 @@ on), ``fractions`` (which pulls in ``decimal``, ``numbers``, ``re`` and
 ``fnmatch``; argparse asks it for the terminal width, which the parser
 needs only to print help, usage or an error) and, outside ``--format
 json``, ``json``. No ``Fraction`` is made on a smooth atlas until ch2 is
-evaluated or the reference table is read.
+evaluated or the reference table is read, so a single ``ch2 --surface``
+query loads ``fractions`` and nothing else of these.
 
 The probe runs under ``-I`` and under ``-I -S``: a ``.pth`` file of the
 site packages may import ``typing`` or ``re`` before the probe starts, and
@@ -24,9 +25,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# run in a fresh isolated interpreter; the last two lines of stdout are the
+# run in a fresh isolated interpreter; the last three lines of stdout are the
 # exit codes with the modules that the import and the bundled atlas loaded,
-# and then the modules loaded by the end of the commands
+# then the modules loaded by the end of list and validate, and then those
+# loaded by the end of a single surface query
 PROBE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -36,26 +38,34 @@ toricfano.shipped_database()
 loaded = set(sys.modules)
 import toricfano.cli
 codes = [toricfano.cli.main(["list"]), toricfano.cli.main(["validate"])]
+batch = set(sys.modules)
+codes.append(toricfano.cli.main(["ch2", "H1", "--surface", "3,4"]))
 print(*codes, *sorted(loaded - before))
+print(*sorted(batch - before))
 print(*sorted(set(sys.modules) - before))
 """
 
 # never loaded by the import, the bundled atlas, list or validate
 SLOW = {"dataclasses", "importlib.resources", "inspect", "json", "fractions", "decimal", "numbers", "typing"}
 
+# a ch2 value is a Fraction, so a surface query loads fractions and its imports
+CH2_SLOW = SLOW - {"fractions", "decimal", "numbers"}
 
-def _probe(*flags, slow=SLOW):
-    """Run the probe with the interpreter ``flags``; assert that it loaded
-    none of the modules ``slow``."""
+
+def _probe(*flags, slow=SLOW, ch2_slow=CH2_SLOW):
+    """Run the probe with the interpreter ``flags``; assert that list and
+    validate loaded none of the modules ``slow``, and a surface query none
+    of ``ch2_slow``."""
     done = subprocess.run(
         [sys.executable, *flags, "-c", PROBE, str(SRC)], capture_output=True, text=True, check=True, timeout=60
     )
-    first, last = done.stdout.splitlines()[-2:]
-    list_code, validate_code, *imported = first.split()
-    loaded = set(last.split())
-    assert (list_code, validate_code) == ("0", "0")
+    value, first, batch, last = done.stdout.splitlines()[-4:]
+    list_code, validate_code, ch2_code, *imported = first.split()
+    loaded = set(batch.split())
+    assert (list_code, validate_code, ch2_code, value) == ("0", "0", "0", "-3/2")
     assert "toricfano.atlas" in imported and "toricfano.cli" in loaded
     assert not slow & loaded
+    assert not ch2_slow & set(last.split())
     # argparse, which toricfano.cli imports, loads re and with it enum; the
     # package alone loads neither
     assert not {"re", "enum"} & set(imported)
@@ -66,4 +76,4 @@ def test_list_loads_no_slow_stdlib_module():
 
 
 def test_list_loads_no_slow_stdlib_module_without_site():
-    _probe("-I", "-S", slow=SLOW | {"shutil"})
+    _probe("-I", "-S", slow=SLOW | {"shutil"}, ch2_slow=CH2_SLOW | {"shutil"})
