@@ -52,10 +52,10 @@ SLOW = {"dataclasses", "importlib.resources", "inspect", "json", "fractions", "d
 CH2_SLOW = SLOW - {"fractions", "decimal", "numbers"}
 
 
-def _probe(*flags, slow=SLOW, ch2_slow=CH2_SLOW):
+def _probe(*flags, also=frozenset()):
     """Run the probe with the interpreter ``flags``; assert that list and
-    validate loaded none of the modules ``slow``, and a surface query none
-    of ``ch2_slow``."""
+    validate loaded none of :data:`SLOW`, a surface query none of
+    :data:`CH2_SLOW`, and neither any of the modules ``also``."""
     done = subprocess.run(
         [sys.executable, *flags, "-c", PROBE, str(SRC)], capture_output=True, text=True, check=True, timeout=60
     )
@@ -64,8 +64,8 @@ def _probe(*flags, slow=SLOW, ch2_slow=CH2_SLOW):
     loaded = set(batch.split())
     assert (list_code, validate_code, ch2_code, value) == ("0", "0", "0", "-3/2")
     assert "toricfano.atlas" in imported and "toricfano.cli" in loaded
-    assert not slow & loaded
-    assert not ch2_slow & set(last.split())
+    assert not (SLOW | also) & loaded
+    assert not (CH2_SLOW | also) & set(last.split())
     # argparse, which toricfano.cli imports, loads re and with it enum; the
     # package alone loads neither
     assert not {"re", "enum"} & set(imported)
@@ -76,4 +76,4 @@ def test_list_loads_no_slow_stdlib_module():
 
 
 def test_list_loads_no_slow_stdlib_module_without_site():
-    _probe("-I", "-S", slow=SLOW | {"shutil"}, ch2_slow=CH2_SLOW | {"shutil"})
+    _probe("-I", "-S", also={"shutil"})
