@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
+from math import comb
 
 from .exactlin import adjugates4, dot, solve
 
@@ -58,43 +60,47 @@ class FanTables:
     maximal cones alone, never on its rays.
 
     One pass over the maximal cones in sorted order, unrolled over the four
-    rays of a cone, builds the faces, the sorted 2- and 3-dimensional cones
-    :attr:`cones2` and :attr:`cones3`, and the wall table :attr:`walls`,
-    which maps each 3-cone ``tau`` to the rays ``n``, in ascending order,
-    with ``tau + n`` a maximal cone (two on a complete fan;
-    :func:`validate_fan` checks this). ``faces`` maps each face to the
-    maximal cone that holds it, the first in sorted order that has it.
+    rays of a cone, builds the sorted 3-dimensional cones :attr:`cones3` and
+    the wall table :attr:`walls`, which maps each 3-cone ``tau`` to the rays
+    ``n``, in ascending order, with ``tau + n`` a maximal cone (two on a
+    complete fan; :func:`validate_fan` checks this).
 
     The same pass records where a fan stores what it computes from its
     rays: a fan's stores are addressed by index into :attr:`maxcones` and
     :attr:`cones3`. ``maxindex`` maps each maximal cone to its index.
     ``wall_rows``, aligned with :attr:`cones3`, holds ``(h, k)`` per wall:
-    the index ``h`` of its holder in :attr:`maxcones` and the position
-    ``k`` in the holder of the ray opposite the wall, its near neighbour a.
-    ``wall_links``, aligned with :attr:`cones3` too, holds each wall's
-    neighbours as :attr:`walls` has them, so the far neighbour b is
-    ``wall_links[t][1]`` on a wall in exactly two maximal cones.
-    :attr:`wall_at`, each wall's index in :attr:`cones3`, turns a wall into
-    its index for the readers that start from a wall, and is built on
-    first use.
+    the index ``h`` of its holder in :attr:`maxcones`, the first maximal
+    cone in sorted order that has it, and the position ``k`` in the holder
+    of the ray opposite the wall, its near neighbour a. ``wall_links``,
+    aligned with :attr:`cones3` too, holds each wall's neighbours as
+    :attr:`walls` has them, so the far neighbour b is ``wall_links[t][1]``
+    on a wall in exactly two maximal cones. That is all that validation and
+    the Fano check read.
 
-    The minimal non-faces are filled in by :func:`minimal_nonfaces`, and
-    the index tables of the ch2 sweep by :meth:`sweep`, each on first use.
-    Fans with the same maximal cones can share one instance, and a fan
-    built from primitive collections has the same maximal cones as any other
-    with the same ray count and collections. Treated as immutable.
+    :attr:`faces`, which maps each face to the maximal cone that holds it,
+    the first in sorted order that has it, and the sorted 2-cones
+    :attr:`cones2` are built on first read, from the walls in the order of
+    their holders (:meth:`_build_faces`). :attr:`wall_at`, each wall's index
+    in :attr:`cones3`, turns a wall into its index for the readers that
+    start from a wall, and is built on first read too. The minimal non-faces
+    are filled in by :func:`minimal_nonfaces`, and the index tables of the
+    ch2 sweep by :meth:`sweep`, each on first use. Fans with the same
+    maximal cones can share one instance, and a fan built from primitive
+    collections has the same maximal cones as any other with the same ray
+    count and collections. Treated as immutable.
     """
 
     __slots__ = (
         "maxcones",
         "maxindex",
-        "faces",
         "walls",
-        "cones2",
         "cones3",
         "wall_rows",
         "wall_links",
         "nonfaces",
+        "_held",
+        "_faces",
+        "_cones2",
         "_wall_at",
         "_sweep",
     )
@@ -102,22 +108,18 @@ class FanTables:
     def __init__(self, maxcones: Iterable[Cone]):
         self.maxcones: tuple[Cone, ...] = tuple(sorted(map(_cone, maxcones)))
         self.maxindex: dict[Cone, int] = dict(zip(self.maxcones, range(len(self.maxcones))))
-        # one pass over the maximal cones in sorted order: a face is held by
-        # the first cone that has it, and the wall opposite each ray n of a
+        # one pass over the maximal cones in sorted order: the first cone
+        # that has a wall holds it, and the wall opposite each ray n of a
         # cone gains n, so the neighbours of a wall come in ascending order
-        faces: dict[Cone, Cone] = {(): self.maxcones[0]} if self.maxcones else {}
         walls: dict[Cone, tuple[int, ...]] = {}
-        # each wall's holder index h and the position k of the ray opposite it
+        # each wall's holder index h and the position k of the ray opposite
+        # it, in the order the walls are met, which is their holders' order
         held: dict[Cone, tuple[int, int]] = {}
-        pairs = []
-        for h, mc in enumerate(self.maxcones):
-            a, b, c, d = mc
-            faces[mc] = mc
+        for h, (a, b, c, d) in enumerate(self.maxcones):
             tau = (b, c, d)
             la = walls.get(tau)
             if la is None:
                 walls[tau] = (a,)
-                faces[tau] = mc
                 held[tau] = (h, 0)
             else:
                 walls[tau] = la + (a,)
@@ -125,7 +127,6 @@ class FanTables:
             lb = walls.get(tau)
             if lb is None:
                 walls[tau] = (b,)
-                faces[tau] = mc
                 held[tau] = (h, 1)
             else:
                 walls[tau] = lb + (b,)
@@ -133,7 +134,6 @@ class FanTables:
             lc = walls.get(tau)
             if lc is None:
                 walls[tau] = (c,)
-                faces[tau] = mc
                 held[tau] = (h, 2)
             else:
                 walls[tau] = lc + (c,)
@@ -141,29 +141,56 @@ class FanTables:
             ld = walls.get(tau)
             if ld is None:
                 walls[tau] = (d,)
-                faces[tau] = mc
                 held[tau] = (h, 3)
             else:
                 walls[tau] = ld + (d,)
-            # every pair and ray of the cone lies in one of its walls, so
-            # none is new unless a wall is
-            if la is None or lb is None or lc is None or ld is None:
-                for pair in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
-                    if pair not in faces:
-                        faces[pair] = mc
-                        pairs.append(pair)
-                for ray in ((a,), (b,), (c,), (d,)):
-                    if ray not in faces:
-                        faces[ray] = mc
-        self.faces = faces
         self.walls: dict[Cone, tuple[int, ...]] = walls
         self.cones3: tuple[Cone, ...] = tuple(sorted(walls))
         self.wall_rows: list[tuple[int, int]] = list(map(held.__getitem__, self.cones3))
         self.wall_links: list[tuple[int, ...]] = list(map(walls.__getitem__, self.cones3))
-        self.cones2: tuple[Cone, ...] = tuple(sorted(pairs))
         self.nonfaces: tuple[Cone, ...] | None = None
+        self._held = held
+        self._faces: dict[Cone, Cone] | None = None
+        self._cones2: tuple[Cone, ...] | None = None
         self._wall_at: dict[Cone, int] | None = None
         self._sweep: tuple | None = None
+
+    @property
+    def faces(self) -> dict[Cone, Cone]:
+        """Each face mapped to the first maximal cone in sorted order that
+        has it, built on first read."""
+        if self._faces is None:
+            self._build_faces()
+        return self._faces
+
+    @property
+    def cones2(self) -> tuple[Cone, ...]:
+        """The sorted 2-cones, built on first read with :attr:`faces`."""
+        if self._cones2 is None:
+            self._build_faces()
+        return self._cones2
+
+    def _build_faces(self) -> None:
+        # The first cone H that has a pair or a ray has a wall with it, and
+        # holds that wall: the wall's holder comes no later than H and has
+        # the pair too. So the walls, taken in their holders' order, give
+        # each pair and ray its holder when first met.
+        maxcones = self.maxcones
+        faces: dict[Cone, Cone] = {(): maxcones[0]} if maxcones else {}
+        pairs = []
+        for (a, b, c), (h, _) in self._held.items():
+            mc = maxcones[h]
+            faces[a, b, c] = mc
+            for pair in ((a, b), (a, c), (b, c)):
+                if pair not in faces:
+                    faces[pair] = mc
+                    pairs.append(pair)
+            for ray in ((a,), (b,), (c,)):
+                if ray not in faces:
+                    faces[ray] = mc
+        faces.update(zip(maxcones, maxcones))
+        self._faces = faces
+        self._cones2 = tuple(sorted(pairs))
 
     @property
     def wall_at(self) -> dict[Cone, int]:
@@ -233,13 +260,14 @@ class Fan:
 
     Instances are built by :func:`build_fan` or :func:`build_fan_from_rays`
     and treated as immutable afterwards. The combinatorial tables
-    (:class:`FanTables`: faces, :attr:`cones2`, :attr:`cones3`, the wall
-    table :attr:`walls`, the minimal non-faces and the index tables of the
-    stores) are built from the maximal cones, or shared with another fan
-    that has the same maximal cones: ``Fan(rays, other.tables)``. The fans
-    that :func:`build_fan` makes from equal ray counts and equal collections
-    have equal maximal cones, so :func:`toricfano.atlas.analyse_each` shares
-    tables between such records and holds at most one table set. The rays
+    (:class:`FanTables`: :attr:`cones3`, the wall table :attr:`walls`, the
+    index tables of the stores, and on first read the faces,
+    :attr:`cones2` and the minimal non-faces) are built from the maximal
+    cones, or shared with another fan that has the same maximal cones:
+    ``Fan(rays, other.tables)``. The fans that :func:`build_fan` makes from
+    equal ray counts and equal collections have equal maximal cones, so
+    :func:`toricfano.atlas.analyse_each` shares tables between such records
+    and holds at most one table set. The rays
     are any sequences of integers, converted here to the tuple of integer
     tuples that every fan holds; the builders convert them on entry and
     the atlas passes parsed rays, so neither converts them twice.
@@ -284,14 +312,24 @@ class Fan:
         # the tables' fields as plain attributes, read on every hot path
         self.maxcones = tables.maxcones
         self._maxindex = tables.maxindex
-        self._container = tables.faces
         self.walls = tables.walls
         self.cones3 = tables.cones3
-        self.cones2 = tables.cones2
         self._bases: list = [None] * len(tables.maxcones)
         self._relations: list = [None] * len(tables.cones3)
         # set once a call without arguments has filled the whole store
         self._bases_full = self._relations_full = False
+
+    @property
+    def cones2(self) -> tuple[Cone, ...]:
+        """The sorted 2-cones, read from the tables, which build them on
+        first read."""
+        return self.tables.cones2
+
+    @property
+    def _container(self) -> dict[Cone, Cone]:
+        # each face and its holder, read from the tables, which build the
+        # face table on first read
+        return self.tables.faces
 
     @property
     def ray_count(self) -> int:
@@ -522,29 +560,111 @@ def _check_collections(collections, ray_count) -> list[Cone]:
     return out
 
 
+@lru_cache(maxsize=64)
+def _subset_bits(ray_count: int, size: int) -> tuple[int, ...]:
+    """The subset table of ray count n and size k: for each ray i, the
+    bitmap ``contains[i]`` of the places of the k-subsets of ``1..n`` that
+    hold it, in lexicographic order (bit s for the subset at s;
+    ``contains[0]`` is 0). The subsets that hold all of a set of rays are
+    the AND of their bitmaps, and :func:`_subsets` reads them off. The last
+    64 tables are kept: the sizes 2 to 5 for 16 ray counts, more than an
+    atlas of at most 12 rays has. The subsets themselves are not kept, as
+    ``itertools.combinations`` makes them again in the same order."""
+    contains = [0] * (ray_count + 1)
+    for s, subset in enumerate(itertools.combinations(range(1, ray_count + 1), size)):
+        bit = 1 << s
+        for i in subset:
+            contains[i] |= bit
+    return tuple(contains)
+
+
+# bin() digits as 0 and 1 bytes, which itertools.compress reads as selectors
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _subsets(ray_count: int, size: int, bits: int) -> Iterator[Cone]:
+    """The ``size``-subsets of ``1..ray_count`` at the places set in
+    ``bits``, in lexicographic order."""
+    # one selector byte per place, lowest first
+    selectors = bin(bits)[:1:-1].encode().translate(_BITS)
+    return itertools.compress(itertools.combinations(range(1, ray_count + 1), size), selectors)
+
+
 def _free_subsets(ray_count: int, collections: Iterable[Cone], sigma: Cone = ()) -> list[Cone]:
     """The 4-subsets of ``1..ray_count`` that contain the sorted cone
     ``sigma`` and no collection, in lexicographic order: the maximal cones
     of the fan the collections generate, and with ``sigma`` those of its
     star. A ``sigma`` with a repeated index or one outside ``1..ray_count``
-    is in no 4-subset. The test runs on bitmasks of ray indices; a subset
-    is ``sigma`` plus rays outside it, so it contains a collection exactly
-    when it contains the collection's rays outside ``sigma``."""
+    is in no 4-subset.
+
+    The search is bit-parallel over the subset table of
+    :func:`_subset_bits`: it starts from every 4-subset, keeps those that
+    hold each ray of ``sigma`` (the AND of their bitmaps), clears those that
+    hold a collection (the AND of the collection's bitmaps) and reads the
+    subsets off the bits that are left. Its cost is a few operations on
+    integers of C(n, 4) bits per ray of each collection, not a test per
+    subset and collection."""
     if len(set(sigma)) != len(sigma) or not all(1 <= i <= ray_count for i in sigma):
         return []
-    masks = [sum(1 << i for i in c if i not in sigma) for c in collections]
-    indices = [i for i in range(1, ray_count + 1) if i not in sigma]
-    size = DIM - len(sigma)
-    subsets = itertools.combinations(indices, size)
-    subset_bits = map(sum, itertools.combinations([1 << i for i in indices], size))
-    maxcones = []
-    for rest, bits in zip(subsets, subset_bits):
-        for m in masks:
-            if m & bits == m:
-                break
-        else:
-            maxcones.append(_cone(sigma + rest) if sigma else rest)
-    return maxcones
+    contains = _subset_bits(ray_count, DIM)
+    free = (1 << comb(ray_count, DIM)) - 1
+    for i in sigma:
+        free &= contains[i]
+    for c in collections:
+        inside = free
+        for i in c:
+            inside &= contains[i]
+        free ^= inside
+    return list(_subsets(ray_count, DIM, free))
+
+
+def are_minimal_nonfaces(ray_count: int, collections: Iterable[Cone]) -> bool:
+    """Whether ``collections`` are exactly the minimal non-faces of the fan
+    that :func:`build_fan` makes from them, with every ray in a maximal cone
+    (repeated collections count once). Takes collections as
+    :func:`build_fan` accepts them and builds no fan.
+
+    Every face of that fan (a subset of a collection-free 4-subset) is free
+    of the collections, so its complex lies inside the complex of the
+    collection-free sets, whose minimal non-faces are the collections that
+    contain no other (Stanley-Reisner; Miller-Sturmfels, *Combinatorial
+    Commutative Algebra*, ch. 1). A complex is fixed by its minimal
+    non-faces, so the collections are the fan's minimal non-faces exactly
+    when the two complexes are equal and no collection contains another;
+    and they are equal exactly when every free ray, pair and triple lies in
+    a maximal cone and no 5-subset is free (then no larger one is). Each
+    test is on subset bitmaps: per size k from 2 to 5, the k-subsets that
+    hold a smaller collection, and those that are a collection of size k,
+    the AND of its bitmaps; a collection contains another exactly when the
+    two meet."""
+    top = DIM + 1
+    # indexed by size; no collection has fewer than two rays
+    tables = [()] * 2 + [_subset_bits(ray_count, size) for size in range(2, top + 1)]
+    smaller, same = [0] * (top + 1), [0] * (top + 1)
+    for c in set(collections):
+        # among the subsets of c's size, c itself; among larger ones, those
+        # that hold c
+        for size in range(len(c), top + 1):
+            inside = -1
+            contains = tables[size]
+            for i in c:
+                inside &= contains[i]
+            if size == len(c):
+                same[size] |= inside
+            else:
+                smaller[size] |= inside
+    if any(map(int.__and__, smaller, same)):
+        return False
+    free = [((1 << comb(ray_count, k)) - 1) & ~(smaller[k] | same[k]) for k in range(top + 1)]
+    if free[top]:
+        return False
+    # per ray, the maximal cones that hold it, as bits over the 4-subsets
+    held = [free[DIM] & bits for bits in tables[DIM]]
+    if not all(held[1:]):
+        return False
+    return all(held[i] & held[j] for i, j in _subsets(ray_count, 2, free[2])) and all(
+        held[i] & held[j] & held[k] for i, j, k in _subsets(ray_count, 3, free[3])
+    )
 
 
 def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]) -> Fan:
@@ -667,7 +787,13 @@ def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
     :attr:`Fan.cones2`), and a ray only by rays in some cone that are not
     adjacent to it. The facets left to probe are those larger than an edge.
     The result depends on the maximal cones alone, so it is computed once
-    per :class:`FanTables` and shared by the fans that share them.
+    per :class:`FanTables` and shared by the fans that share them. The
+    search reads the face table, which :class:`FanTables` builds on first
+    read. Validation decides whether declared collections round-trip by
+    :func:`are_minimal_nonfaces`, without this search; the atlas runs it to
+    print the collections of a record without any (``toricfano show``), to
+    derive them on load (the bundled M5), and to name the difference when a
+    round trip fails.
     """
     tables = fan.tables
     if tables.nonfaces is not None:

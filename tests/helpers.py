@@ -1,7 +1,9 @@
 """Shared test machinery: the primitive-relation Fano criterion,
 functional perturbations, independent divisor-curve and ch2 oracles built
 on wall relations only, reference versions of the face table, the face-fan
-and the non-face searches, a cofactor 4x4 determinant, the adjugate of
+and the non-face searches, seeded perturbations of collection lists with
+the check of the round-trip verdict against the non-face search, a
+cofactor 4x4 determinant, the adjugate of
 one matrix, the rational null space, the solved dual functional, the anticanonical degree of a
 curve, and the errata of the reference table."""
 
@@ -11,7 +13,7 @@ from typing import NamedTuple
 
 from toricfano.chern import divisor_dot_curve
 from toricfano.exactlin import _rref, adjugates4, dot, solve
-from toricfano.fan import Fan, _cone, minimal_nonfaces, primitive_relation
+from toricfano.fan import Fan, _cone, are_minimal_nonfaces, build_fan, minimal_nonfaces, primitive_relation
 
 
 def _det3(a, b, c) -> int:
@@ -294,6 +296,47 @@ def brute_force_nonfaces(fan):
             if not fan.is_face(sub) and all(fan.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
                 found.append(sub)
     return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
+def perturbed_collections(rng, ray_count, collections, steps):
+    """``collections`` after ``steps`` seeded changes, each one of: drop a
+    line, add a random line of 2 to 5 rays, enlarge a line of fewer than
+    five rays by a ray it lacks, or repeat a line. Every line stays one that
+    :func:`toricfano.fan.build_fan` accepts."""
+    colls = list(collections)
+    indices = range(1, ray_count + 1)
+    for _ in range(steps):
+        kind = rng.randrange(4)
+        if kind == 0 and colls:
+            del colls[rng.randrange(len(colls))]
+        elif kind == 2 and colls:
+            k = rng.randrange(len(colls))
+            rest = [i for i in indices if i not in colls[k]]
+            if len(colls[k]) < 5 and rest:
+                colls[k] = tuple(sorted(colls[k] + (rng.choice(rest),)))
+        elif kind == 3 and colls:
+            colls.insert(rng.randrange(len(colls) + 1), rng.choice(colls))
+        else:
+            colls.append(tuple(sorted(rng.sample(indices, rng.randint(2, min(5, ray_count))))))
+    return colls
+
+
+def round_trip_verdicts(samples):
+    """The verdicts of :func:`toricfano.fan.are_minimal_nonfaces` on the
+    ``(ray_count, collections)`` samples whose fan uses every ray, after
+    checking each against the non-face search: the collections are the
+    fan's minimal non-faces exactly when the verdict is true. A fan that
+    leaves a ray in no maximal cone must get false."""
+    seen = set()
+    for ray_count, collections in samples:
+        fan = build_fan([(i, 0, 0, 0) for i in range(1, ray_count + 1)], collections)
+        verdict = are_minimal_nonfaces(ray_count, collections)
+        if {i for mc in fan.maxcones for i in mc} == set(range(1, ray_count + 1)):
+            assert verdict == (frozenset(minimal_nonfaces(fan)) == frozenset(collections)), (ray_count, collections)
+            seen.add(verdict)
+        else:
+            assert not verdict, (ray_count, collections)
+    return seen
 
 
 class Erratum(NamedTuple):

@@ -265,6 +265,34 @@ def test_validate_flags_bad_records(tmp_path, capsys):
     assert "round-trip" in err
 
 
+def test_validate_caps_the_round_trip_lists(tmp_path, capsys):
+    import itertools
+
+    from toricfano.atlas import AtlasDatabase
+
+    # record 117 with every 3- to 5-subset that holds one of its
+    # collections added as a line: the same fan, and 472 declared
+    # collections that are no minimal non-face
+    rec = shipped_database().lookup("117")
+    declared = set(rec.collections)
+    supersets = [
+        sub
+        for size in (3, 4, 5)
+        for sub in itertools.combinations(range(1, 11), size)
+        if sub not in declared and any(set(c) < set(sub) for c in declared)
+    ]
+    bad = rec._replace(name="117x", collections=rec.collections + tuple(supersets))
+    path = tmp_path / "supersets.txt"
+    path.write_text(render(AtlasDatabase((bad,))))
+    code, out, err = run(capsys, "validate", str(path))
+    shown = sorted(supersets)[:10]
+    assert len(supersets) == 472
+    assert code == 1 and out.splitlines()[1] == "117x\ttrue\ttrue\tfalse\ttrue\tfalse"
+    assert err.splitlines() == [
+        f"117x: collections do not round-trip (declared-only {shown} and {len(supersets) - 10} more, derived-only [])"
+    ]
+
+
 def test_validate_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.txt"
     path.write_text("variety\n")
@@ -575,17 +603,31 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
     assert code == 0 and out.splitlines()[-1] == "# two_fano 1 of 67: P4"
     rays = Counter(tuple(tuple(v) for v in rec.rays) for rec in database)
     types = Counter({(len(rec.rays), rec.collections): 1 for rec in database})
-    nonfaces = Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"})
-    declared = Counter(tuple(tuple(v) for v in rec.rays) for rec in database if not rec.collections_derived)
-    # every record gets one fan, asks for its non-faces once when its
-    # collections were declared (the bundled M5's were derived, so its round
-    # trip is vacuous and it never asks), and each combinatorial type builds
-    # its tables once, wherever its records sit
+    declared = [rec for rec in database if not rec.collections_derived]
+    # every record gets one fan, and each combinatorial type builds its
+    # tables once, wherever its records sit; the declared collections of
+    # every record round-trip (the bundled M5's were derived, so its round
+    # trip is vacuous), and that is decided without a non-face search
     assert fans == rays
-    assert nonfaces == declared and len(declared) == (67 if shuffled else 66)
+    assert not any(name == "minimal_nonfaces" for name, _ in calls) and len(declared) == (67 if shuffled else 66)
     assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
     assert len(types) == 17
     assert not any(name == "build_fan_from_rays" for name, _ in calls)
+
+    # a record whose collections fail the round trip searches its non-faces
+    # once, to name the difference, and fails the pass with that message
+    h1 = database.lookup("H1")
+    extra = h1._replace(name="H1x", collections=h1.collections + ((1, 2, 3),))
+    path = tmp_path / "extra.txt"
+    path.write_text(render(atlas.AtlasDatabase(database.records + (extra,))))
+    calls.clear()
+    code, out, err = run(capsys, "--db", str(path), "classify", "--all")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "H1x: collections do not round-trip (declared-only [(1, 2, 3)], derived-only [])",
+        "H1x: validation failed",
+    ]
+    assert Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"}) == {h1.rays: 1}
 
     # paper-table builds the tables of each type in the reference table once
     from toricfano.atlas import REFERENCE_TABLE
@@ -597,6 +639,24 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
     types = Counter({(len(rec.rays), rec.collections): 1 for rec in database if rec.name in listed})
     assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
     assert len(types) == 16
+
+
+def test_validate_builds_no_face_table(tmp_path, monkeypatch, capsys):
+    from toricfano import atlas, fan
+
+    db_args, _ = _shuffled_atlas(tmp_path)
+    shipped_database()  # loaded, M5 derived, before anything is counted
+    built = []
+    build_faces = fan.FanTables._build_faces
+    monkeypatch.setattr(fan.FanTables, "_build_faces", lambda tables: built.append(tables) or build_faces(tables))
+    atlas.analyse.cache_clear()
+    # validation reads the walls alone, and classify builds the faces and
+    # 2-cones of each of the 17 types once, for its sweep
+    for args in ([], db_args):
+        code, _, _ = run(capsys, *args, "validate")
+        assert code == 0 and built == []
+    code, _, _ = run(capsys, *db_args, "classify", "--all")
+    assert code == 0 and len(built) == 17
 
 
 def test_a_pass_holds_one_table_set_at_a_time(tmp_path, monkeypatch, capsys):

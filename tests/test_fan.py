@@ -3,7 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brute_force_nonfaces, face_fan_by_subsets, face_table_by_subsets, is_fano, wall_curve_oracle
+from helpers import (
+    brute_force_nonfaces,
+    face_fan_by_subsets,
+    face_table_by_subsets,
+    is_fano,
+    perturbed_collections,
+    round_trip_verdicts,
+    wall_curve_oracle,
+)
 
 from toricfano import fan as fan_module
 from toricfano.exactlin import adjugates4, dot, solve
@@ -81,10 +89,10 @@ def test_build_fan_matches_brute_force_count(h1):
     assert h1.maxcones == tuple(expected)
 
 
-def _brute_force_maxcones(ray_count, collections):
+def _brute_force_maxcones(ray_count, collections, sigma=()):
     colls = [set(c) for c in collections]
     subsets = itertools.combinations(range(1, ray_count + 1), 4)
-    return tuple(s for s in subsets if not any(c <= set(s) for c in colls))
+    return tuple(s for s in subsets if set(sigma) <= set(s) and not any(c <= set(s) for c in colls))
 
 
 def test_build_fan_matches_brute_force_on_every_record(database):
@@ -96,15 +104,23 @@ def test_build_fan_matches_brute_force_on_every_record(database):
 def test_build_fan_matches_brute_force_on_random_collections():
     # the rays play no part in which subsets are kept
     rng = random.Random(6)
-    for _ in range(60):
-        ray_count = rng.randint(4, 12)
+    for k in range(80):
+        ray_count = rng.randint(4, 16)
         indices = range(1, ray_count + 1)
         collections = [
             tuple(sorted(rng.sample(indices, rng.randint(2, min(5, ray_count)))))
-            for _ in range(rng.randint(0, 8))
+            for _ in range(0 if k % 10 == 0 else rng.randint(1, 8))
         ]
         fan = build_fan([(i, 0, 0, 0) for i in indices], collections)
         assert fan.maxcones == _brute_force_maxcones(ray_count, collections), collections
+        # the star of a sigma of 0 to 4 rays; one that repeats a ray or has one
+        # outside 1..n is in no 4-subset
+        sigma = tuple(sorted(rng.sample(indices, rng.randint(0, 4))))
+        expected = list(_brute_force_maxcones(ray_count, collections, sigma))
+        assert fan_module._free_subsets(ray_count, collections, sigma) == expected, (collections, sigma)
+        if sigma:
+            for bad in (sigma + sigma[:1], sigma[1:] + (0,), sigma[1:] + (ray_count + 1,)):
+                assert fan_module._free_subsets(ray_count, collections, tuple(sorted(bad))) == [], (collections, bad)
 
 
 def test_build_fan_rejects_bad_collections():
@@ -486,11 +502,47 @@ def _random_collection_fans(seed):
     return samples, unused
 
 
-def test_minimal_nonfaces_equals_brute_force_on_random_collections():
+def _perturbed_types(database, seed, per_type):
+    """``per_type`` seeded ``(ray_count, collections)`` samples for each
+    combinatorial type of the bundled atlas, each after 0 to 3 changes of
+    :func:`perturbed_collections`."""
+    rng = random.Random(seed)
+    types = dict.fromkeys((len(rec.rays), rec.collections) for rec in database)
+    return [
+        (ray_count, perturbed_collections(rng, ray_count, collections, rng.randint(0, 3)))
+        for ray_count, collections in types
+        for _ in range(per_type)
+    ]
+
+
+def test_minimal_nonfaces_equals_brute_force_on_random_collections(database):
     samples, unused = _random_collection_fans(10)
     for collections, fan in samples:
         assert minimal_nonfaces(fan) == brute_force_nonfaces(fan), collections
     assert unused
+    # the round-trip verdict agrees with the search on the same samples, on
+    # seeded perturbations of every bundled type, on P4 with a sixth ray
+    # paired with every other, which lies in no cone, and on a free pair
+    # {1, 2} in no cone, every triple and 5-subset around it holding a
+    # collection
+    cases = [(fan.ray_count, collections) for collections, fan in samples]
+    cases += _perturbed_types(database, 22, 20)
+    cases.append((6, [(1, 2, 3, 4, 5)] + [(j, 6) for j in range(1, 6)]))
+    cases.append((6, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (3, 4, 5, 6)]))
+    assert not fan_module.are_minimal_nonfaces(*cases[-1]) and not fan_module.are_minimal_nonfaces(*cases[-2])
+    assert round_trip_verdicts(cases) == {True, False}
+
+
+@pytest.mark.slow
+def test_round_trip_verdict_matches_the_non_face_search_on_a_sweep(database):
+    # 20 000 seeded collection sets on 5 to 12 rays: perturbed bundled types,
+    # and random lists with their perturbations
+    rng = random.Random(2211)
+    samples = _perturbed_types(database, 2212, 600)
+    while len(samples) < 20_000:
+        ray_count = rng.randint(5, 12)
+        samples.append((ray_count, perturbed_collections(rng, ray_count, (), rng.randint(1, 12))))
+    assert round_trip_verdicts(samples) == {True, False}
 
 
 def test_curve_numbers_match_the_wall_oracle(fans):
