@@ -31,7 +31,7 @@ from .fan import (
     Fan,
     FanError,
     FanTables,
-    are_minimal_nonfaces,
+    _cone,
     build_fan,
     build_fan_from_rays,
     cap_problems,
@@ -271,24 +271,16 @@ class VarietyAnalysis:
     """What is computed about one record, each part on first use.
 
     The fan is built once, and the validation report and the ch2 report
-    read it. The round trip of declared collections is decided without
-    deriving anything, by :func:`~toricfano.fan.are_minimal_nonfaces`, once
-    per type (a verdict depends on the ray count and the collections
-    alone, and :func:`analyse_each` takes a type's records one after
-    another). For a fan built from collections C with every ray in a cone,
-    C is exactly its set of minimal non-faces when no collection contains
-    another, every collection-free pair and triple lies in a maximal cone,
-    and no 5-subset is collection-free: the fan's complex lies inside the
-    complex of the collection-free sets, whose minimal non-faces are the
-    collections that contain no other (Stanley-Reisner; Miller-Sturmfels,
-    *Combinatorial Commutative Algebra*, ch. 1), and the two are equal
-    exactly under the last two conditions. The minimal non-faces themselves
-    are computed at most once, and only where they are printed: the
-    collection lines that ``toricfano show`` derives for a record without
-    any, and the declared-only and derived-only collections of a failed
-    round trip, each list cut after :data:`MAX_PROBLEMS` entries. ``fan``
-    raises :class:`FanError` when the record does not describe a fan,
-    ``report`` never raises.
+    read it. The minimal non-faces are derived at most once, by
+    :func:`~toricfano.fan.minimal_nonfaces`, which keeps them in the fan
+    tables, so under :func:`analyse_each` once per type. Declared
+    collections round-trip when they are exactly that set, repeated lines
+    counted once, and the same set names the difference when they do not:
+    the declared-only and derived-only collections, each list cut after
+    :data:`MAX_PROBLEMS` entries. ``toricfano show`` reads them to print
+    the collections of a record without any. ``fan`` raises
+    :class:`FanError` when the record does not describe a fan, ``report``
+    never raises.
 
     The Fano check reads the wall relations that :func:`validate_fan` has
     stored, by position, with one :meth:`Fan.wall_relations` call. A
@@ -306,9 +298,10 @@ class VarietyAnalysis:
     computes the ones it prints, and no other command computes any.
 
     The combinatorial tables of a fan built from collections
-    (:class:`~toricfano.fan.FanTables`: maximal cones, walls, 3-cones, and
-    on first read faces, 2-cones and minimal non-faces, which validation
-    never reads) depend only on the ray count and the collections. ``tables``, when given, are those of an earlier record with
+    (:class:`~toricfano.fan.FanTables`: maximal cones, walls, 3-cones,
+    minimal non-faces, and on first read faces and 2-cones, which
+    validation never reads) depend only on the ray count and the
+    collections. ``tables``, when given, are those of an earlier record with
     the same ray count and collections, and the fan is built on them instead
     of from the collections; once a fan is built from collections,
     ``tables`` holds its tables. :func:`analyse_each` passes them from one
@@ -382,11 +375,10 @@ class VarietyAnalysis:
         if rec.collections is None or rec.collections_derived:
             report.round_trip = True
         else:
-            report.round_trip = _round_trip(len(rec.rays), rec.collections)
+            derived = frozenset(self.nonfaces)
+            declared = frozenset(map(_cone, rec.collections))
+            report.round_trip = derived == declared
             if not report.round_trip:
-                # the minimal non-faces are searched only to name the difference
-                derived = frozenset(self.nonfaces)
-                declared = frozenset(tuple(c) for c in rec.collections)
                 missing = _capped(sorted(declared - derived))
                 extra = _capped(sorted(derived - declared))
                 report.problems.append(
@@ -411,11 +403,6 @@ class VarietyAnalysis:
     def ch2(self) -> Ch2Report:
         """ch2 on every invariant surface; expects a record that validated."""
         return classify(self.fan)
-
-
-# analyse_each takes the records of a type one after another, so one kept
-# verdict decides the round trip once per type
-_round_trip = lru_cache(maxsize=1)(are_minimal_nonfaces)
 
 
 def _capped(cones: list[Cone]) -> str:
@@ -485,12 +472,10 @@ def validate_record(rec: VarietyRecord) -> RecordReport:
     """Run the four structural checks on a record.
 
     Smooth and complete come from the fan validator; round-trip demands the
-    declared collections equal the minimal non-faces of the built fan,
-    decided from subset bitmaps without a search
-    (:func:`~toricfano.fan.are_minimal_nonfaces`; the minimal non-faces are
-    searched only to name the difference when it fails, and the round trip
-    is vacuous on records without collections or whose collections were
-    derived in the first place);
+    declared collections equal the minimal non-faces of the built fan
+    (:func:`~toricfano.fan.minimal_nonfaces`), and is vacuous on records
+    without collections or whose collections were derived in the first
+    place;
     the Fano check requires -K to have positive degree on the curve of every
     wall (the toric Kleiman criterion, Cox-Little-Schenck, Thm 6.3.13; on a
     smooth complete fan, Batyrev's criterion that every primitive relation

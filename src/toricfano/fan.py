@@ -83,11 +83,12 @@ class FanTables:
     their holders (:meth:`_build_faces`). :attr:`wall_at`, each wall's index
     in :attr:`cones3`, turns a wall into its index for the readers that
     start from a wall, and is built on first read too. The minimal non-faces
-    are filled in by :func:`minimal_nonfaces`, and the index tables of the
-    ch2 sweep by :meth:`sweep`, each on first use. Fans with the same
-    maximal cones can share one instance, and a fan built from primitive
-    collections has the same maximal cones as any other with the same ray
-    count and collections. Treated as immutable.
+    :attr:`nonfaces` are filled in by :func:`minimal_nonfaces` from the
+    maximal cones alone, on subset bitmaps and without the face table, and
+    the index tables of the ch2 sweep by :meth:`sweep`, each on first use.
+    Fans with the same maximal cones can share one instance, and a fan
+    built from primitive collections has the same maximal cones as any
+    other with the same ray count and collections. Treated as immutable.
     """
 
     __slots__ = (
@@ -566,10 +567,14 @@ def _subset_bits(ray_count: int, size: int) -> tuple[int, ...]:
     bitmap ``contains[i]`` of the places of the k-subsets of ``1..n`` that
     hold it, in lexicographic order (bit s for the subset at s;
     ``contains[0]`` is 0). The subsets that hold all of a set of rays are
-    the AND of their bitmaps, and :func:`_subsets` reads them off. The last
-    64 tables are kept: the sizes 2 to 5 for 16 ray counts, more than an
-    atlas of at most 12 rays has. The subsets themselves are not kept, as
-    ``itertools.combinations`` makes them again in the same order."""
+    the AND of their bitmaps, and :func:`_subsets` reads them off. Three
+    readers share the tables: :func:`_free_subsets` reads size 4 for the
+    maximal cones of :func:`build_fan` and :func:`build_star`, and of
+    :func:`reconstruct_rays`, and :func:`minimal_nonfaces` the sizes 2 to
+    5. The last 64 tables are kept: the sizes 2 to 5 for 16 ray counts,
+    more than an atlas of at most 12 rays has. The subsets themselves are
+    not kept, as ``itertools.combinations`` makes them again in the same
+    order."""
     contains = [0] * (ray_count + 1)
     for s, subset in enumerate(itertools.combinations(range(1, ray_count + 1), size)):
         bit = 1 << s
@@ -616,55 +621,6 @@ def _free_subsets(ray_count: int, collections: Iterable[Cone], sigma: Cone = ())
             inside &= contains[i]
         free ^= inside
     return list(_subsets(ray_count, DIM, free))
-
-
-def are_minimal_nonfaces(ray_count: int, collections: Iterable[Cone]) -> bool:
-    """Whether ``collections`` are exactly the minimal non-faces of the fan
-    that :func:`build_fan` makes from them, with every ray in a maximal cone
-    (repeated collections count once). Takes collections as
-    :func:`build_fan` accepts them and builds no fan.
-
-    Every face of that fan (a subset of a collection-free 4-subset) is free
-    of the collections, so its complex lies inside the complex of the
-    collection-free sets, whose minimal non-faces are the collections that
-    contain no other (Stanley-Reisner; Miller-Sturmfels, *Combinatorial
-    Commutative Algebra*, ch. 1). A complex is fixed by its minimal
-    non-faces, so the collections are the fan's minimal non-faces exactly
-    when the two complexes are equal and no collection contains another;
-    and they are equal exactly when every free ray, pair and triple lies in
-    a maximal cone and no 5-subset is free (then no larger one is). Each
-    test is on subset bitmaps: per size k from 2 to 5, the k-subsets that
-    hold a smaller collection, and those that are a collection of size k,
-    the AND of its bitmaps; a collection contains another exactly when the
-    two meet."""
-    top = DIM + 1
-    # indexed by size; no collection has fewer than two rays
-    tables = [()] * 2 + [_subset_bits(ray_count, size) for size in range(2, top + 1)]
-    smaller, same = [0] * (top + 1), [0] * (top + 1)
-    for c in set(collections):
-        # among the subsets of c's size, c itself; among larger ones, those
-        # that hold c
-        for size in range(len(c), top + 1):
-            inside = -1
-            contains = tables[size]
-            for i in c:
-                inside &= contains[i]
-            if size == len(c):
-                same[size] |= inside
-            else:
-                smaller[size] |= inside
-    if any(map(int.__and__, smaller, same)):
-        return False
-    free = [((1 << comb(ray_count, k)) - 1) & ~(smaller[k] | same[k]) for k in range(top + 1)]
-    if free[top]:
-        return False
-    # per ray, the maximal cones that hold it, as bits over the 4-subsets
-    held = [free[DIM] & bits for bits in tables[DIM]]
-    if not all(held[1:]):
-        return False
-    return all(held[i] & held[j] for i, j in _subsets(ray_count, 2, free[2])) and all(
-        held[i] & held[j] & held[k] for i, j, k in _subsets(ray_count, 3, free[3])
-    )
 
 
 def build_fan(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]]) -> Fan:
@@ -775,63 +731,64 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
 
 
 def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
-    """All minimal non-faces of the fan, i.e. its primitive collections.
+    """All minimal non-faces of the fan, i.e. its primitive collections, in
+    order of size, then lexicographically.
 
     A subset of size 2 to 5 qualifies when it is not a face but every proper
-    subset is; checking its facets suffices because faces are downward
-    closed. Dropping the largest member of a minimal non-face leaves a face,
-    so the candidates are the nonempty faces extended by one larger ray
-    index, and that facet needs no check. Every pair of a candidate of size
-    3 or more is a 2-cone, so a face of two or more rays is extended only by
-    rays adjacent to all its members (a bitmask of neighbours per ray, from
-    :attr:`Fan.cones2`), and a ray only by rays in some cone that are not
-    adjacent to it. The facets left to probe are those larger than an edge.
-    The result depends on the maximal cones alone, so it is computed once
-    per :class:`FanTables` and shared by the fans that share them. The
-    search reads the face table, which :class:`FanTables` builds on first
-    read. Validation decides whether declared collections round-trip by
-    :func:`are_minimal_nonfaces`, without this search; the atlas runs it to
-    print the collections of a record without any (``toricfano show``), to
-    derive them on load (the bundled M5), and to name the difference when a
-    round trip fails.
+    subset is. Every proper subset is a face exactly when the subset holds
+    no ray outside the maximal cones and no smaller minimal non-face, so the
+    sizes are taken in turn, on the subset bitmaps of :func:`_subset_bits`.
+    The maximal cones are bits over the 4-subsets, and ``held[i]`` the cones
+    that hold ray i. The candidates of size k are the k-subsets that hold
+    neither an unused ray nor a non-face already found (``smaller[k]``); a
+    candidate pair or triple is a non-face when no cone holds all of it (the
+    AND of its rays' ``held`` is 0), a candidate 4-subset when it is not a
+    cone, and a 5-subset always is. Each non-face found marks the subsets of
+    every larger size that hold it. No 6-subset qualifies, since its
+    5-subsets are non-faces. The result depends on the maximal cones alone,
+    so it is computed once per :class:`FanTables` and shared by the fans
+    that share them. It names the collections that ``toricfano show``
+    prints for a record without any, derives them on load (the bundled M5)
+    and decides the round trip of declared collections
+    (:class:`toricfano.atlas.VarietyAnalysis`).
     """
     tables = fan.tables
     if tables.nonfaces is not None:
         return tables.nonfaces
-    faces = tables.faces
-    adjacent = [0] * (fan.ray_count + 1)
-    for i, j in fan.cones2:
-        adjacent[i] |= 1 << j
-        adjacent[j] |= 1 << i
-    in_cones = 0
-    for mc in fan.maxcones:
-        for i in mc:
-            in_cones |= 1 << i
+    n, top = fan.ray_count, DIM + 1
+    # indexed by size; no non-face has fewer than two rays
+    contains = [()] * 2 + [_subset_bits(n, size) for size in range(2, top + 1)]
+    bits4 = contains[DIM]
+    cones = 0
+    for a, b, c, d in tables.maxcones:
+        cones |= bits4[a] & bits4[b] & bits4[c] & bits4[d]
+    held = [cones & bits for bits in bits4]
+    smaller = [0] * (top + 1)
+    for i in range(1, n + 1):
+        if not held[i]:
+            for size in range(2, top + 1):
+                smaller[size] |= contains[size][i]
     found = []
-    for face in faces:
-        size = len(face)
-        if not size:
-            continue
-        r = face[-1]
-        if size == 1:
-            mask = in_cones & ~adjacent[r]
+    for size in range(2, top + 1):
+        candidates = ((1 << comb(n, size)) - 1) & ~smaller[size]
+        if size == DIM:
+            candidates &= ~cones
+        subs = _subsets(n, size, candidates)
+        if size == 2:
+            subs = [(i, j) for i, j in subs if not held[i] & held[j]]
+        elif size == 3:
+            subs = [(i, j, k) for i, j, k in subs if not held[i] & held[j] & held[k]]
         else:
-            mask = -1
-            for i in face:
-                mask &= adjacent[i]
-        mask >>= r + 1
-        while mask:
-            r += 1
-            if mask & 1:
-                # a pair outside cones2 is a non-face whose facets are rays in
-                # cones; the facets of a triple are adjacent pairs
-                sub = face + (r,)
-                if size == 1 or sub not in faces and (
-                    size == 2 or all(sub[:k] + sub[k + 1 :] in faces for k in range(size))
-                ):
-                    found.append(sub)
-            mask >>= 1
-    tables.nonfaces = tuple(sorted(found, key=lambda c: (len(c), c)))
+            subs = list(subs)
+        found += subs
+        for larger in range(size + 1, top + 1):
+            bits = contains[larger]
+            for sub in subs:
+                inside = -1
+                for i in sub:
+                    inside &= bits[i]
+                smaller[larger] |= inside
+    tables.nonfaces = tuple(found)
     return tables.nonfaces
 
 
@@ -877,9 +834,11 @@ def primitive_relation(fan: Fan, collection: Iterable[int]) -> PrimitiveRelation
     positive support of the coordinates. Every containing cone must yield
     the same support and coefficients, else the minimal cone is ambiguous;
     on a smooth fan the coefficients are positive integers. The sum of the
-    rays being zero gives the empty cone.
+    rays being zero gives the empty cone. Raises :class:`FanError` with
+    :func:`build_fan`'s messages for a collection with a repeated index, an
+    index outside ``1..ray_count`` or other than 2 to 5 members.
     """
-    coll = _cone(collection)
+    (coll,) = _check_collections((collection,), fan.ray_count)
     s = tuple(map(sum, zip(*(fan.rays[i - 1] for i in coll))))
     if not any(s):
         return PrimitiveRelation(coll, (), {}, len(coll))

@@ -1,8 +1,7 @@
 """Shared test machinery: the primitive-relation Fano criterion,
 functional perturbations, independent divisor-curve and ch2 oracles built
 on wall relations only, reference versions of the face table, the face-fan
-and the non-face searches, seeded perturbations of collection lists with
-the check of the round-trip verdict against the non-face search, a
+and the minimal non-faces, seeded perturbations of collection lists, a
 cofactor 4x4 determinant, the adjugate of
 one matrix, the rational null space, the solved dual functional, the anticanonical degree of a
 curve, and the errata of the reference table."""
@@ -13,7 +12,7 @@ from typing import NamedTuple
 
 from toricfano.chern import divisor_dot_curve
 from toricfano.exactlin import _rref, adjugates4, dot, solve
-from toricfano.fan import Fan, _cone, are_minimal_nonfaces, build_fan, minimal_nonfaces, primitive_relation
+from toricfano.fan import Fan, _cone, minimal_nonfaces, primitive_relation
 
 
 def _det3(a, b, c) -> int:
@@ -319,24 +318,6 @@ def perturbed_collections(rng, ray_count, collections, steps):
         else:
             colls.append(tuple(sorted(rng.sample(indices, rng.randint(2, min(5, ray_count))))))
     return colls
-
-
-def round_trip_verdicts(samples):
-    """The verdicts of :func:`toricfano.fan.are_minimal_nonfaces` on the
-    ``(ray_count, collections)`` samples whose fan uses every ray, after
-    checking each against the non-face search: the collections are the
-    fan's minimal non-faces exactly when the verdict is true. A fan that
-    leaves a ray in no maximal cone must get false."""
-    seen = set()
-    for ray_count, collections in samples:
-        fan = build_fan([(i, 0, 0, 0) for i in range(1, ray_count + 1)], collections)
-        verdict = are_minimal_nonfaces(ray_count, collections)
-        if {i for mc in fan.maxcones for i in mc} == set(range(1, ray_count + 1)):
-            assert verdict == (frozenset(minimal_nonfaces(fan)) == frozenset(collections)), (ray_count, collections)
-            seen.add(verdict)
-        else:
-            assert not verdict, (ray_count, collections)
-    return seen
 
 
 class Erratum(NamedTuple):

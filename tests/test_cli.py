@@ -359,7 +359,7 @@ def test_validation_skips_the_non_face_search_where_the_round_trip_is_vacuous(tm
     monkeypatch.setattr(atlas, "minimal_nonfaces", lambda built: searched.append(built.rays) or search(built))
     atlas.analyse.cache_clear()
     p4 = database.lookup("P4")._replace(collections=None)
-    # without collections, or with derived ones, the round trip holds unsearched
+    # without collections, or with derived ones, the round trip holds underived
     for rec in (p4, database.lookup("M5")):
         report = validate_record(rec)
         assert report.ok and report.round_trip
@@ -570,9 +570,9 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
     database = shipped_database()  # loaded, M5 derived, before anything is counted
     db_args = []
     if shuffled:
-        # M5's collections are read from the file, so its round trip is searched
+        # M5's collections are read from the file, so its round trip derives them
         db_args, database = _shuffled_atlas(tmp_path)
-    fans, calls = Counter(), Counter()
+    fans, calls, derived = Counter(), Counter(), Counter()
     # every fan, converted rays or not, is set up by Fan._attach
     fan_attach = fan.Fan._attach
 
@@ -583,7 +583,6 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
     keys = {
         "build_fan": lambda rays, collections: (len(rays), tuple(collections)),
         "build_fan_from_rays": lambda rays: tuple(map(tuple, rays)),
-        "minimal_nonfaces": lambda built: built.rays,
     }
 
     def counted(name, original):
@@ -593,12 +592,24 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
 
         return wrapper
 
+    # a derivation is a call that finds the tables without their non-faces,
+    # counted by the ray count and the set it derives
+    derive = fan.minimal_nonfaces
+
+    def counted_derivation(built):
+        fresh = built.tables.nonfaces is None
+        nonfaces = derive(built)
+        derived[built.ray_count, frozenset(nonfaces)] += fresh
+        return nonfaces
+
     atlas.analyse.cache_clear()
     monkeypatch.setattr(fan.Fan, "_attach", attach)
     for name in keys:
         wrapped = counted(name, getattr(fan, name))
         for module in (fan, atlas):
             monkeypatch.setattr(module, name, wrapped)
+    for module in (fan, atlas):
+        monkeypatch.setattr(module, "minimal_nonfaces", counted_derivation)
     code, out, _ = run(capsys, *db_args, "classify", "--all")
     assert code == 0 and out.splitlines()[-1] == "# two_fano 1 of 67: P4"
     rays = Counter(tuple(tuple(v) for v in rec.rays) for rec in database)
@@ -606,28 +617,33 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
     declared = [rec for rec in database if not rec.collections_derived]
     # every record gets one fan, and each combinatorial type builds its
     # tables once, wherever its records sit; the declared collections of
-    # every record round-trip (the bundled M5's were derived, so its round
-    # trip is vacuous), and that is decided without a non-face search
+    # every record round-trip, decided from one derivation of the non-faces
+    # per type (the bundled M5's were derived, so its round trip is vacuous)
     assert fans == rays
-    assert not any(name == "minimal_nonfaces" for name, _ in calls) and len(declared) == (67 if shuffled else 66)
+    assert len(declared) == (67 if shuffled else 66)
+    declared_types = {(len(rec.rays), rec.collections) for rec in declared}
+    assert derived == Counter((n, frozenset(collections)) for n, collections in declared_types)
     assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
     assert len(types) == 17
     assert not any(name == "build_fan_from_rays" for name, _ in calls)
 
-    # a record whose collections fail the round trip searches its non-faces
-    # once, to name the difference, and fails the pass with that message
+    # a record whose collections fail the round trip derives its non-faces
+    # once, as its own type, and fails the pass naming the difference
     h1 = database.lookup("H1")
     extra = h1._replace(name="H1x", collections=h1.collections + ((1, 2, 3),))
     path = tmp_path / "extra.txt"
     path.write_text(render(atlas.AtlasDatabase(database.records + (extra,))))
     calls.clear()
+    derived.clear()
     code, out, err = run(capsys, "--db", str(path), "classify", "--all")
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         "H1x: collections do not round-trip (declared-only [(1, 2, 3)], derived-only [])",
         "H1x: validation failed",
     ]
-    assert Counter({key: n for (name, key), n in calls.items() if name == "minimal_nonfaces"}) == {h1.rays: 1}
+    # the file declares M5's collections too, and H1x derives those of H1
+    h1x = (len(h1.rays), frozenset(h1.collections))
+    assert derived == Counter([(n, frozenset(collections)) for n, collections in types] + [h1x])
 
     # paper-table builds the tables of each type in the reference table once
     from toricfano.atlas import REFERENCE_TABLE

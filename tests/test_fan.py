@@ -9,7 +9,6 @@ from helpers import (
     face_table_by_subsets,
     is_fano,
     perturbed_collections,
-    round_trip_verdicts,
     wall_curve_oracle,
 )
 
@@ -137,6 +136,18 @@ def test_primitive_relation_names_a_sum_that_no_cone_contains():
     fan = Fan(P4_RAYS, [mc for mc in itertools.combinations(range(1, 6), 4) if mc != (1, 2, 3, 4)])
     with pytest.raises(FanError, match=r"^no containing cone for the ray sum of \(1, 2, 3, 4\)$"):
         primitive_relation(fan, (1, 2, 3, 4))
+
+
+def test_primitive_relation_refuses_what_build_fan_refuses(p4):
+    # index 0 would read the last ray, and index 6 lies past it
+    with pytest.raises(FanError, match=r"^collection \(0, 1\) has indices outside 1\.\.5$"):
+        primitive_relation(p4, (0, 1))
+    with pytest.raises(FanError, match=r"^collection \(1, 6\) has indices outside 1\.\.5$"):
+        primitive_relation(p4, (1, 6))
+    with pytest.raises(FanError, match=r"^collection \(1, 1, 2\) has duplicate entries$"):
+        primitive_relation(p4, (1, 1, 2))
+    with pytest.raises(FanError, match=r"^collection \(1,\) must have between 2 and 5 members$"):
+        primitive_relation(p4, (1,))
 
 
 def test_minimal_nonfaces_round_trip(h1, p4):
@@ -477,9 +488,12 @@ def test_lattice_equivalent_separates_different_varieties(fans):
     assert not lattice_equivalent(fans["P4"], fans["E1"])
 
 
-def test_minimal_nonfaces_equals_brute_force(fans):
+def test_minimal_nonfaces_equals_brute_force(database, fans):
     samples = dict(fans)
     samples["P(1,1,1,1,2)"] = build_fan(WP_RAYS, ((1, 2, 3, 4, 5),))
+    # the face fans of the shipped ray sets, on tables of their own
+    samples.update((rec.name + " (face fan)", build_fan_from_rays(rec.rays)) for rec in database)
+    assert len(samples) == 2 * len(database) + 1 == 135
     for name, fan in samples.items():
         assert minimal_nonfaces(fan) == brute_force_nonfaces(fan), name
 
@@ -515,26 +529,39 @@ def _perturbed_types(database, seed, per_type):
     ]
 
 
+def _round_trip_outcomes(samples):
+    """Whether the declared collections equal the derived minimal non-faces,
+    over the ``(ray_count, collections)`` samples, after checking each
+    derivation against brute force."""
+    seen = set()
+    for ray_count, collections in samples:
+        fan = build_fan([(i, 0, 0, 0) for i in range(1, ray_count + 1)], collections)
+        derived = minimal_nonfaces(fan)
+        assert derived == brute_force_nonfaces(fan), (ray_count, collections)
+        seen.add(frozenset(derived) == frozenset(collections))
+    return seen
+
+
 def test_minimal_nonfaces_equals_brute_force_on_random_collections(database):
     samples, unused = _random_collection_fans(10)
-    for collections, fan in samples:
-        assert minimal_nonfaces(fan) == brute_force_nonfaces(fan), collections
     assert unused
-    # the round-trip verdict agrees with the search on the same samples, on
-    # seeded perturbations of every bundled type, on P4 with a sixth ray
-    # paired with every other, which lies in no cone, and on a free pair
-    # {1, 2} in no cone, every triple and 5-subset around it holding a
-    # collection
+    # the derivation matches brute force on the samples, on seeded
+    # perturbations of every bundled type, on P4 with a sixth ray paired with
+    # every other, which lies in no cone, and on a free pair {1, 2} in no
+    # cone, every triple and 5-subset around it holding a collection; the
+    # collections round-trip in some cases and not in others
     cases = [(fan.ray_count, collections) for collections, fan in samples]
     cases += _perturbed_types(database, 22, 20)
-    cases.append((6, [(1, 2, 3, 4, 5)] + [(j, 6) for j in range(1, 6)]))
-    cases.append((6, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (3, 4, 5, 6)]))
-    assert not fan_module.are_minimal_nonfaces(*cases[-1]) and not fan_module.are_minimal_nonfaces(*cases[-2])
-    assert round_trip_verdicts(cases) == {True, False}
+    hand = [
+        (6, [(1, 2, 3, 4, 5)] + [(j, 6) for j in range(1, 6)]),
+        (6, [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (3, 4, 5, 6)]),
+    ]
+    assert _round_trip_outcomes(cases) == {True, False}
+    assert _round_trip_outcomes(hand) == {False}
 
 
 @pytest.mark.slow
-def test_round_trip_verdict_matches_the_non_face_search_on_a_sweep(database):
+def test_minimal_nonfaces_equals_brute_force_on_a_sweep(database):
     # 20 000 seeded collection sets on 5 to 12 rays: perturbed bundled types,
     # and random lists with their perturbations
     rng = random.Random(2211)
@@ -542,7 +569,7 @@ def test_round_trip_verdict_matches_the_non_face_search_on_a_sweep(database):
     while len(samples) < 20_000:
         ray_count = rng.randint(5, 12)
         samples.append((ray_count, perturbed_collections(rng, ray_count, (), rng.randint(1, 12))))
-    assert round_trip_verdicts(samples) == {True, False}
+    assert _round_trip_outcomes(samples) == {True, False}
 
 
 def test_curve_numbers_match_the_wall_oracle(fans):
