@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from operator import mul
 
 from .exactlin import dot
-from .fan import Cone, Fan, _cone
+from .fan import Cone, Fan, FanError, _cone
 
 # true for a type checker only, so annotations can name Fraction unimported
 TYPE_CHECKING = False
@@ -67,9 +67,12 @@ def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | No
 
     An ``int`` with the default functional on a smooth fan, read from
     :meth:`Fan.curve_numbers`. ``u_fn`` overrides the functional choice,
-    which is useful for checking that the choice does not matter.
+    which is useful for checking that the choice does not matter. Both
+    routes raise :class:`FanError` for a ``tau`` of other than three rays.
     """
     tau = _cone(tau)
+    if len(tau) != 3:
+        raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
     if u_fn is None:
         return fan.curve_numbers(tau).get(w, 0)
     if w not in tau:
@@ -126,11 +129,14 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     (u_w = ``fan.dual(w, sigma)``), and zero otherwise. So the sum has one
     term per wall around sigma (:func:`_wall_sum`), and each wall's term
     depends only on that wall and on sigma. With ``u_fn`` the
-    divisor-by-divisor route below is taken instead.
+    divisor-by-divisor route below is taken instead. Both routes raise
+    :class:`FanError` for a ``sigma`` of other than two rays.
     """
     from fractions import Fraction
 
     sigma = _cone(sigma)
+    if len(sigma) != 2:
+        raise FanError(f"{sigma} is not a 2-dimensional cone of the fan")
     if u_fn is None:
         return Fraction(_wall_sum(fan, sigma), 2)
     total = 0

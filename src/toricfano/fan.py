@@ -25,8 +25,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from math import comb
+from operator import itemgetter, mul
 
-from .exactlin import adjugates4, dot, solve
+from .exactlin import adjugates4, solve
 
 LatticePoint = tuple[int, int, int, int]
 Cone = tuple[int, ...]
@@ -337,7 +338,10 @@ class Fan:
         return len(self.rays)
 
     def ray(self, i: int) -> LatticePoint:
-        """Generator of ray ``i`` (1-based, matching the printed tables)."""
+        """Generator of ray ``i`` (1-based, matching the printed tables).
+        Raises :class:`FanError` when ``i`` is outside ``1..ray_count``."""
+        if not 1 <= i <= len(self.rays):
+            raise FanError(f"ray index {i} outside 1..{len(self.rays)}")
         return self.rays[i - 1]
 
     def is_face(self, indices: Iterable[int]) -> bool:
@@ -942,7 +946,7 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
     must validate as smooth and complete.
 
     The result is one representative: any other valid seed differs from it
-    by a lattice automorphism (see :func:`lattice_equivalent`).
+    by a lattice automorphism, so the two have the same :func:`lattice_key`.
     """
     pairs = _relation_pairs(relations)
     for coll, coeffs in pairs:
@@ -1004,56 +1008,53 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
     return result
 
 
-def _column_matrix(vectors) -> list[list]:
-    return [[v[r] for v in vectors] for r in range(DIM)]
+def lattice_key(fan: Fan) -> tuple | None:
+    """A normal form of the fan under GL4(Z), after the PALP normal form
+    (Kreuzer and Skarke, 2004): ``(rays, maxcones)`` of an equivalent fan,
+    with the rays sorted, or ``None`` when no maximal cone is unimodular.
 
-
-def _matvec(m, v):
-    return tuple(dot(row, v) for row in m)
-
-
-def _matmul(a, b):
-    return [[dot(a[i], [b[r][j] for r in range(DIM)]) for j in range(DIM)] for i in range(DIM)]
+    Each unimodular maximal cone, with each of the 24 orderings of its
+    rays, gives a candidate: every ray written in that ordered dual basis
+    (:meth:`Fan.cone_bases`, integers), sorted, and the maximal cones
+    relabelled by the rank of each ray there. The key is the least
+    candidate. An automorphism maps unimodular cones onto unimodular cones
+    and keeps every ray's coordinates, so it keeps the candidates; two equal
+    candidates give the integral map from one basis onto the other, which
+    carries rays onto rays and cones onto cones. Cones of another nonzero
+    determinant are skipped; a degenerate maximal cone raises :class:`FanError`.
+    """
+    rays, maxcones = fan.rays, fan.maxcones
+    best = None
+    for mc, (duals, det) in zip(maxcones, fan.cone_bases()):
+        if not det:
+            raise FanError(f"cone {mc} is degenerate")
+        if det != 1 and det != -1:
+            continue
+        coords = [tuple(sum(map(mul, u, v)) for u in duals) for v in rays]
+        for order in itertools.permutations(range(DIM)):
+            images = list(map(itemgetter(*order), coords))
+            ranked = tuple(sorted(images))
+            # the cones break a tie of the sorted rays only
+            if best is not None and ranked > best[0]:
+                continue
+            rank = dict(zip(ranked, range(1, len(rays) + 1)))
+            label = [rank[image] for image in images]
+            candidate = ranked, tuple(sorted(_cone(label[i - 1] for i in c) for c in maxcones))
+            if best is None or candidate < best:
+                best = candidate
+    return best
 
 
 def lattice_equivalent(fan_a: Fan, fan_b: Fan) -> bool:
-    """Whether some lattice automorphism carries one fan onto the other.
-
-    Searches for an integer matrix of determinant +-1 mapping the ray set of
-    ``fan_a`` bijectively onto the ray set of ``fan_b`` so that maximal cones
-    correspond. Candidates are seeded by matching a fixed maximal cone of
-    ``fan_a`` against every ordered maximal cone of ``fan_b``; this is
-    exhaustive because any equivalence must match maximal cones.
+    """Whether a lattice automorphism carries one fan onto the other: equal
+    ray and maximal cone counts and equal :func:`lattice_key`. A fan with no
+    unimodular maximal cone (key ``None``) or with a degenerate one is
+    equivalent to none, itself included; neither passes :func:`validate_fan`.
     """
     if fan_a.ray_count != fan_b.ray_count or len(fan_a.maxcones) != len(fan_b.maxcones):
         return False
-    if len(fan_a.cones2) != len(fan_b.cones2) or len(fan_a.cones3) != len(fan_b.cones3):
-        return False
-
-    base = fan_a.maxcones[0]
-    # the dual basis, as rows, is the inverse of the generator column matrix
     try:
-        base_inv, _ = fan_a.cone_basis(base)
+        key = lattice_key(fan_a)
+        return key is not None and key == lattice_key(fan_b)
     except FanError:
         return False
-    ray_index_b = {v: j + 1 for j, v in enumerate(fan_b.rays)}
-    maxset_b = set(fan_b.maxcones)
-
-    for target in fan_b.maxcones:
-        for perm in itertools.permutations(target):
-            g = _matmul(_column_matrix([fan_b.ray(i) for i in perm]), base_inv)
-            if any(x.denominator != 1 for row in g for x in row):
-                continue
-            mapping = {}
-            for i in range(1, fan_a.ray_count + 1):
-                image = tuple(int(x) for x in _matvec(g, fan_a.ray(i)))
-                j = ray_index_b.get(image)
-                if j is None:
-                    break
-                mapping[i] = j
-            else:
-                if len(set(mapping.values())) == fan_a.ray_count and all(
-                    _cone(mapping[i] for i in mc) in maxset_b for mc in fan_a.maxcones
-                ):
-                    return True
-    return False

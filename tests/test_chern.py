@@ -36,6 +36,14 @@ def p4(fans):
     return fans["P4"]
 
 
+@pytest.mark.parametrize("u_fn", [None, dual_functional], ids=["default", "u_fn"])
+def test_both_routes_refuse_cones_of_the_wrong_size(p4, u_fn):
+    with pytest.raises(FanError, match=r"^\(1, 2, 3\) is not a 2-dimensional cone of the fan$"):
+        ch2_dot_surface(p4, (1, 2, 3), u_fn=u_fn)
+    with pytest.raises(FanError, match=r"^\(1, 2\) is not a 3-dimensional cone of the fan$"):
+        divisor_dot_curve(p4, 1, (1, 2), u_fn=u_fn)
+
+
 def test_dual_functional_canonical_values(h1, p4):
     assert dual_functional(h1, 2, (2, 3, 4)) == (0, 1, 0, 0)
     assert dual_functional(p4, 5, (3, 4, 5)) == (-1, 0, 0, 0)

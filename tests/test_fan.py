@@ -24,6 +24,7 @@ from toricfano.fan import (
     cap_problems,
     containing_cones,
     lattice_equivalent,
+    lattice_key,
     minimal_nonfaces,
     primitive_relation,
     reconstruct_rays,
@@ -486,6 +487,48 @@ def test_lattice_equivalent_reflexive_and_transform_invariant(h1):
 def test_lattice_equivalent_separates_different_varieties(fans):
     assert not lattice_equivalent(fans["H1"], fans["H4"])
     assert not lattice_equivalent(fans["P4"], fans["E1"])
+    # the atlas lists each variety once, so no two records share a key
+    assert len({lattice_key(fan) for fan in fans.values()}) == len(fans) == 67
+
+
+def test_lattice_equivalent_tells_fans_on_the_same_rays_apart(h1):
+    # H1's maximal cones relabelled by each transposition of two rays, on
+    # H1's rays; (3 4), (3 5) and (4 5) give H1's cones back and are left out
+    moved = []
+    for i, j in itertools.combinations(range(1, 9), 2):
+        swap = {i: j, j: i}
+        cones = sorted(_cone(swap.get(k, k) for k in mc) for mc in h1.maxcones)
+        if tuple(cones) != h1.maxcones:
+            moved.append(Fan(h1.rays, cones))
+    assert len(moved) == 25
+    assert not any(lattice_equivalent(fan, h1) for fan in moved)
+    # those with a key have H1's sorted rays in it: the cones tell them apart
+    keyed = []
+    for fan in moved:
+        try:
+            keyed.append(lattice_key(fan))
+        except FanError:
+            continue
+    assert keyed and all(key[0] == lattice_key(h1)[0] for key in keyed)
+
+
+def test_lattice_equivalent_skips_cones_that_are_not_unimodular():
+    # the cone (1, 2, 3, 5) has determinant -2; the other four are unimodular
+    fan = build_fan(WP_RAYS, ((1, 2, 3, 4, 5),))
+    assert lattice_equivalent(fan, fan)
+
+
+def test_lattice_key_is_the_key_of_the_fan_it_describes(fans):
+    for name, fan in fans.items():
+        key = lattice_key(fan)
+        assert lattice_key(Fan(*key)) == key, name
+
+
+def test_ray_refuses_an_index_outside_the_fan(p4):
+    assert p4.ray(1) == P4_RAYS[0] and p4.ray(5) == P4_RAYS[4]
+    for i in (0, -1, 6):
+        with pytest.raises(FanError, match=rf"^ray index {i} outside 1\.\.5$"):
+            p4.ray(i)
 
 
 def test_minimal_nonfaces_equals_brute_force(database, fans):

@@ -93,3 +93,16 @@ def test_validate_rejection_messages_match_their_pinned_hash(tmp_path, capsys):
     assert code == 1
     blob = f"{code}\0{captured.out}\0{captured.err}".encode()
     assert hashlib.sha256(blob).hexdigest() == REJECTIONS_GOLDEN
+
+
+# repr of fan.lattice_key of each shipped record, in atlas order: the
+# normal form that names a variety up to lattice automorphism
+LATTICE_KEYS_GOLDEN = "a8f7990c8c887253c9bc3db5b45fcfe093ae8191ac7d5a4c2ed67d50c44e325b"
+
+
+def test_lattice_keys_match_their_pinned_hash(database, fans):
+    from toricfano.fan import lattice_key
+
+    keys = [lattice_key(fans[rec.name]) for rec in database]
+    assert len(keys) == 67
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == LATTICE_KEYS_GOLDEN

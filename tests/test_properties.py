@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from toricfano.atlas import AtlasParseError, parse
 from toricfano.chern import ch2_dot_surface
-from toricfano.fan import build_fan
+from toricfano.fan import build_fan, lattice_key
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 
@@ -68,3 +68,4 @@ def test_ch2_is_invariant_under_lattice_maps_and_relabellings(database, fans, da
     for sigma in fan.cones2:
         image = tuple(sorted(perm[i - 1] for i in sigma))
         assert ch2_dot_surface(moved, image) == ch2_dot_surface(fan, sigma), (rec.name, sigma)
+    assert lattice_key(moved) == lattice_key(fan), rec.name
