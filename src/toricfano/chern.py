@@ -31,7 +31,6 @@ surfaces settles the question for all surfaces.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Callable, Iterable
 from operator import mul
 
@@ -52,14 +51,34 @@ NOT_NEF = "not_nef"
 UFunction = Callable[[Fan, int, Cone], tuple]
 
 
-class Ch2Report(namedtuple("Ch2Report", "values min_value witness classification")):
-    """Second-Chern-character values on every invariant surface of a fan:
-    ``values`` maps each 2-cone to its ``Fraction``, ``min_value`` is the
-    least of them, attained at the 2-cone ``witness``, and
-    ``classification`` is one of :data:`TWO_FANO`,
-    :data:`NEF_NOT_TWO_FANO` and :data:`NOT_NEF`."""
+class Ch2Report:
+    """Second-Chern-character values on every invariant surface of a fan,
+    made from ``twice``, the doubled values aligned with the sorted 2-cones
+    ``cones2``. ``min_value`` is the least value, the report's one
+    ``Fraction`` until ``values`` is read, attained first at the 2-cone
+    ``witness``; ``classification`` is one of :data:`TWO_FANO`,
+    :data:`NEF_NOT_TWO_FANO` and :data:`NOT_NEF`. ``values`` maps each
+    2-cone to its ``Fraction``; it is built on first read and kept."""
 
-    __slots__ = ()
+    __slots__ = ("min_value", "witness", "classification", "_cones2", "_twice", "_values")
+
+    def __init__(self, cones2: tuple, twice: list):
+        from fractions import Fraction
+
+        least = min(twice)
+        # cones2 is sorted, so the first least sum is at the least 2-cone
+        self.witness = cones2[twice.index(least)]
+        self.min_value = Fraction(least, 2)
+        self.classification = _classification(self.min_value)
+        self._cones2, self._twice, self._values = cones2, twice, None
+
+    @property
+    def values(self) -> dict:
+        if self._values is None:
+            from fractions import Fraction
+
+            self._values = {sigma: Fraction(total, 2) for sigma, total in zip(self._cones2, self._twice)}
+        return self._values
 
 
 def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | None = None) -> int | Fraction:
@@ -68,10 +87,11 @@ def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | No
     An ``int`` with the default functional on a smooth fan, read from
     :meth:`Fan.curve_numbers`. ``u_fn`` overrides the functional choice,
     which is useful for checking that the choice does not matter. Both
-    routes raise :class:`FanError` for a ``tau`` of other than three rays.
+    routes raise :class:`FanError` for a ``tau`` that is not a 3-cone of the
+    fan.
     """
     tau = _cone(tau)
-    if len(tau) != 3:
+    if len(tau) != 3 or (u_fn is not None and not fan.is_face(tau)):
         raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
     if u_fn is None:
         return fan.curve_numbers(tau).get(w, 0)
@@ -91,9 +111,12 @@ def divisor_dot_surface(fan: Fan, w: int, sigma: Iterable[int], u_fn: UFunction 
     The cycle maps 3-cones to exact coefficients (integers with the default
     functional on a smooth fan); an empty dict is the zero cycle. For ``w``
     outside ``sigma`` the product is the enlarged cone with coefficient 1
-    when it spans, zero when it does not.
+    when it spans, zero when it does not. Both routes raise
+    :class:`FanError` for a ``sigma`` that is not a cone of the fan.
     """
     sigma = _cone(sigma)
+    if not fan.is_face(sigma):
+        raise FanError(f"{sigma} is not a cone of the fan")
     if w not in sigma:
         enlarged = _cone(sigma + (w,))
         return {enlarged: 1} if fan.is_face(enlarged) else {}
@@ -130,7 +153,7 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     term per wall around sigma (:func:`_wall_sum`), and each wall's term
     depends only on that wall and on sigma. With ``u_fn`` the
     divisor-by-divisor route below is taken instead. Both routes raise
-    :class:`FanError` for a ``sigma`` of other than two rays.
+    :class:`FanError` for a ``sigma`` that is not a 2-cone of the fan.
     """
     from fractions import Fraction
 
@@ -202,19 +225,12 @@ def classify(fan: Fan) -> Ch2Report:
     sigma. A wall tau borders exactly three surfaces, tau minus each of its
     rays, and the walls around sigma are exactly the 3-cones containing it.
     So adding each wall's three terms to the surfaces it borders gives every
-    sum term for term, in exact arithmetic. The minimum is found on the
-    integer sums, which are twice the values.
+    sum term for term, in exact arithmetic. The report keeps these sums,
+    which are twice the values and integers on a smooth fan: the minimum and
+    its witness are found on them, and the values are halved only when
+    :attr:`Ch2Report.values` is read.
     """
-    from fractions import Fraction
-
-    twice = _surface_sums(fan)
-    cones2 = fan.cones2
-    # cones2 is sorted, so the first least sum is at the least 2-cone
-    witness = cones2[twice.index(min(twice))]
-    halves = {total: Fraction(total, 2) for total in set(twice)}
-    values = dict(zip(cones2, map(halves.__getitem__, twice)))
-    min_value = values[witness]
-    return Ch2Report(values, min_value, witness, _classification(min_value))
+    return Ch2Report(fan.cones2, _surface_sums(fan))
 
 
 def _surface_sums(fan: Fan) -> list:

@@ -161,13 +161,8 @@ def cmd_ch2(args) -> int:
 
     report = analysis.ch2
     rows = [
-        {
-            "variety": rec.name,
-            "surface": _surface_str(sigma),
-            "value": str(report.values[sigma]),
-            "classification": "",
-        }
-        for sigma in fan.cones2
+        {"variety": rec.name, "surface": _surface_str(sigma), "value": str(value), "classification": ""}
+        for sigma, value in report.values.items()
     ]
     rows.append(
         {

@@ -44,6 +44,18 @@ def test_both_routes_refuse_cones_of_the_wrong_size(p4, u_fn):
         divisor_dot_curve(p4, 1, (1, 2), u_fn=u_fn)
 
 
+@pytest.mark.parametrize("u_fn", [None, dual_functional], ids=["default", "u_fn"])
+def test_both_routes_refuse_cones_not_in_the_fan(h1, u_fn):
+    # {1, 2} lies in no cone of H1; ray 1 is inside it and ray 3 outside
+    with pytest.raises(FanError, match=r"^\(1, 2\) is not a cone of the fan$"):
+        ch2_dot_surface(h1, (1, 2), u_fn=u_fn)
+    with pytest.raises(FanError, match=r"^\(1, 2, 3\) is not a 3-dimensional cone of the fan$"):
+        divisor_dot_curve(h1, 1, (1, 2, 3), u_fn=u_fn)
+    for w in (1, 3):
+        with pytest.raises(FanError, match=r"^\(1, 2\) is not a cone of the fan$"):
+            divisor_dot_surface(h1, w, (1, 2), u_fn=u_fn)
+
+
 def test_dual_functional_canonical_values(h1, p4):
     assert dual_functional(h1, 2, (2, 3, 4)) == (0, 1, 0, 0)
     assert dual_functional(p4, 5, (3, 4, 5)) == (-1, 0, 0, 0)
@@ -220,6 +232,26 @@ def test_classify_examples(fans):
     report = classify(fans["117"])
     assert report.classification == "not_nef"
     assert report.min_value <= -5
+
+
+def test_classify_makes_one_fraction_per_report_until_the_values_are_read(fans, monkeypatch):
+    made = Counter()
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[cls] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for name, fan in fans.items():
+        made.clear()
+        report = classify(fan)
+        assert made == {Fraction: 1}, name
+        values = report.values
+        after_read = made.copy()
+        assert report.values is values and made == after_read, name
+        assert values == {sigma: ch2_dot_surface(fan, sigma) for sigma in fan.cones2}, name
+        assert report.min_value == min(values.values()) == values[report.witness], name
 
 
 def test_classification_boundaries():
