@@ -87,9 +87,10 @@ def divisor_dot_curve(fan: Fan, w: int, tau: Iterable[int], u_fn: UFunction | No
     An ``int`` with the default functional on a smooth fan, read from
     :meth:`Fan.curve_numbers`. ``u_fn`` overrides the functional choice,
     which is useful for checking that the choice does not matter. Both
-    routes raise :class:`FanError` for a ``tau`` that is not a 3-cone of the
-    fan.
+    routes raise :class:`FanError` for a ``w`` outside ``1..ray_count``
+    and for a ``tau`` that is not a 3-cone of the fan.
     """
+    fan.ray(w)  # refuses a divisor that the fan does not have
     tau = _cone(tau)
     if len(tau) != 3 or (u_fn is not None and not fan.is_face(tau)):
         raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
@@ -112,8 +113,10 @@ def divisor_dot_surface(fan: Fan, w: int, sigma: Iterable[int], u_fn: UFunction 
     functional on a smooth fan); an empty dict is the zero cycle. For ``w``
     outside ``sigma`` the product is the enlarged cone with coefficient 1
     when it spans, zero when it does not. Both routes raise
-    :class:`FanError` for a ``sigma`` that is not a cone of the fan.
+    :class:`FanError` for a ``w`` outside ``1..ray_count`` and for a
+    ``sigma`` that is not a cone of the fan.
     """
+    fan.ray(w)  # refuses a divisor that the fan does not have
     sigma = _cone(sigma)
     if not fan.is_face(sigma):
         raise FanError(f"{sigma} is not a cone of the fan")
@@ -141,19 +144,24 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     Always a half-integer on a smooth fan.
 
     This is the single-surface route, which ``ch2 --surface`` and
-    ``paper-table`` take: it computes only the dual bases and wall
-    relations around ``sigma``. :func:`classify` reaches the same sums for
-    every surface at once in one sweep over the walls.
+    ``paper-table`` take. By default it sums on the star of sigma, the
+    maximal cones that contain it (Fulton, *Introduction to Toric
+    Varieties*, 3.1): the fan itself when they are all of its maximal
+    cones, as :func:`~toricfano.fan.build_star` makes it, and otherwise a
+    :class:`Fan` on the same rays and those cones, so a full fan's stores
+    stay unfilled. :func:`classify` reaches the same sums for every surface
+    at once in one sweep over the walls.
 
-    By default the sum is read from the curve numbers of the walls
-    sigma + n around sigma (:meth:`Fan.wall_relations` of those walls,
-    computed once per wall): D_w . V(sigma) is the curve of sigma + w for w
-    in the link, sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
+    The default sum is read from the curve numbers of the walls sigma + n
+    around sigma: D_w . V(sigma) is the curve of sigma + w for w in the
+    link, sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
     (u_w = ``fan.dual(w, sigma)``), and zero otherwise. So the sum has one
     term per wall around sigma (:func:`_wall_sum`), and each wall's term
-    depends only on that wall and on sigma. With ``u_fn`` the
-    divisor-by-divisor route below is taken instead. Both routes raise
-    :class:`FanError` for a ``sigma`` that is not a 2-cone of the fan.
+    depends only on that wall and on sigma. Every maximal cone with such a
+    wall contains sigma, so the star has both cones of each wall and the
+    same holder as the full fan. With ``u_fn`` the divisor-by-divisor route
+    below is taken instead. Both routes raise :class:`FanError` for a
+    ``sigma`` that is not a 2-cone of the fan.
     """
     from fractions import Fraction
 
@@ -161,7 +169,11 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     if len(sigma) != 2:
         raise FanError(f"{sigma} is not a 2-dimensional cone of the fan")
     if u_fn is None:
-        return Fraction(_wall_sum(fan, sigma), 2)
+        p, q = sigma
+        # a repeated ray is no 2-cone, so its star has no maximal cone
+        inside = [mc for mc in fan.maxcones if p in mc and q in mc] if p != q else []
+        star = fan if len(inside) == len(fan.maxcones) else Fan(fan.rays, inside)
+        return Fraction(_wall_sum(star, sigma), 2)
     total = 0
     for w in range(1, fan.ray_count + 1):
         for tau, coeff in divisor_dot_surface(fan, w, sigma, u_fn).items():
@@ -169,31 +181,30 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     return Fraction(total, 2)
 
 
-def _wall_sum(fan: Fan, sigma: Cone):
-    """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone from the wall table.
+def _wall_sum(star: Fan, sigma: Cone):
+    """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone on its star, a fan
+    whose maximal cones all contain sigma.
 
-    The walls around sigma = (p, q) are the 3-cones tau = sigma + n in
-    :attr:`Fan.walls`. Each is found as a pair ``(t, n)``, with ``t`` its
-    index in :attr:`Fan.cones3` (``tables.wall_at``), and their relations x
-    are filled by one :meth:`Fan.wall_relations` call on those indices,
-    which computes no other wall. The curve of tau meets D_w in -x_w points
+    The walls around sigma = (p, q) are the star's 3-cones tau = sigma + n,
+    taken in :attr:`Fan.cones3` order, which is the order of n. Their
+    relations x come from :meth:`Fan.wall_relations` of the star, and the
+    first of these walls without one raises before the duals of sigma are
+    read. Every other wall of the star lies in one of its cones, so it has
+    no relation and is not read. The curve of tau meets D_w in -x_w points
     for w in tau. The term of n is then -x_n + <u_p, v_n> x_p +
     <u_q, v_n> x_q with u_p, u_q the duals of p, q on sigma. Each x is a
     4-tuple over the rays of the holder of tau, read at the positions of n,
     p and q there.
     """
     p, q = sigma
-    tables, rays = fan.tables, fan.rays
-    at = tables.wall_at
-    around = []
-    for n in range(1, fan.ray_count + 1):
-        tau = (n, p, q) if n < p else (p, n, q) if n < q else (p, q, n)
-        t = at.get(tau)
-        if t is not None and n != p and n != q:
-            around.append((t, n))
-    relations = fan.wall_relations([t for t, _ in around])
-    # the cone holding sigma holds two of these walls, so its basis is stored
-    up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
+    tables, rays = star.tables, star.rays
+    relations = star.wall_relations()
+    # each wall around sigma at its index t, with its third ray n
+    around = [(t, sum(tau) - p - q) for t, tau in enumerate(star.cones3) if p in tau and q in tau]
+    for t, _ in around:
+        if relations[t] is None:
+            raise star._no_relation(t)
+    up, uq = star.dual(p, sigma), star.dual(q, sigma)
     total = 0
     for t, n in around:
         x = relations[t]
@@ -248,12 +259,16 @@ def _surface_sums(fan: Fan) -> list:
     relations and the bases are read by position from the fan's stores,
     :meth:`Fan.wall_relations` and :meth:`Fan.cone_bases`, one call each;
     the duals of p and q sit at the positions that the sweep's surface
-    rows record. The holder of sigma also holds the walls that it has around
-    sigma (any maximal cone with such a wall contains sigma, so none comes
-    earlier), so once every wall relation exists no holder of a surface is
-    degenerate. No link of a surface is read.
+    rows record. The first wall without a relation, in :attr:`Fan.cones3`
+    order, raises (:meth:`Fan._no_relation`). The holder of sigma also
+    holds the walls that it has around sigma (any maximal cone with such a
+    wall contains sigma, so none comes earlier), so once every wall
+    relation exists no holder of a surface is degenerate. No link of a
+    surface is read.
     """
     relations = fan.wall_relations()
+    if None in relations:
+        raise fan._no_relation(relations.index(None))
     bases = fan.cone_bases()
     tables = fan.tables
     inside, outside, surface_rows = tables.sweep()

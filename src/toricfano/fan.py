@@ -280,15 +280,13 @@ class Fan:
     :attr:`maxcones`, and :meth:`wall_relations`, one coordinate 4-tuple per
     wall in the order of its holder's rays, aligned with :attr:`cones3`.
     Each face is held by one maximal cone, whose dual basis serves every
-    functional on that face. Each method takes indices into its list, fills
-    those places in one batch and returns the whole list. Called without
-    arguments, it fills every place, so :func:`validate_fan` computes every
-    basis and relation once, and the Fano check,
-    :func:`~toricfano.chern.classify` and :func:`containing_cones` read the
-    stores with one call each. A single surface passes the indices of the
-    walls around it (:func:`toricfano.chern.ch2_dot_surface`), so only
-    those are computed. :meth:`cone_basis` and :meth:`wall_relation` take
-    a cone or a wall, look up its index and fill it as a batch of one.
+    functional on that face. Each store is filled whole on its first read
+    and kept, so :func:`validate_fan` computes every basis and relation
+    once, and the Fano check, :func:`~toricfano.chern.classify` and
+    :func:`containing_cones` read the stores with one call each. A single
+    surface is summed on its star (:func:`toricfano.chern.ch2_dot_surface`),
+    a fan of its own, so it fills no store of the full fan.
+    :meth:`cone_basis` and :meth:`wall_relation` read one place.
 
     The intersection methods raise :class:`FanError` naming the cone on a
     degenerate maximal cone, a wall outside exactly two maximal cones, or a
@@ -318,8 +316,9 @@ class Fan:
         self.cones3 = tables.cones3
         self._bases: list = [None] * len(tables.maxcones)
         self._relations: list = [None] * len(tables.cones3)
-        # set once a call without arguments has filled the whole store
-        self._bases_full = self._relations_full = False
+        # the relations store keeps None at walls without a relation, so
+        # only this tells a filled one from a fresh one
+        self._relations_full = False
 
     @property
     def cones2(self) -> tuple[Cone, ...]:
@@ -350,11 +349,9 @@ class Fan:
     def is_maxcone(self, indices: Iterable[int]) -> bool:
         return _cone(indices) in self._maxindex
 
-    def cone_bases(self, positions: Iterable[int] | None = None) -> list:
+    def cone_bases(self) -> list:
         """The store of ``(duals, det)`` per maximal cone, a list aligned
-        with :attr:`maxcones` (``None`` where not yet computed), filled for
-        the maximal cones at the indices ``positions`` (default: all of
-        them) in one batch and returned whole.
+        with :attr:`maxcones`, filled whole on the first call and returned.
 
         ``det`` is the determinant of the generators in index order and
         ``duals[k]`` the functional equal to 1 on generator ``mc[k]`` and 0
@@ -362,25 +359,15 @@ class Fan:
         ``det`` is +-1 and ``Fraction`` otherwise. A degenerate cone is
         stored as ``(None, 0)``, so filling never raises on one; its readers
         raise :class:`FanError` naming the cone when they need its duals.
-        Each basis is computed once per fan, by :func:`adjugates4` over the
-        cones the store lacks.
+        Each basis is computed once per fan, by one :func:`adjugates4` call.
         """
         store = self._bases
-        if positions is None:
-            if self._bases_full:
-                return store
-            self._bases_full = True
-            missing = [h for h, entry in enumerate(store) if entry is None]
-        else:
-            missing = [h for h in dict.fromkeys(positions) if store[h] is None]
-            if not missing:
-                return store
-        rays, maxcones = self.rays, self.maxcones
-        matrices = []
-        for h in missing:
-            i, j, k, l = maxcones[h]
-            matrices.append((rays[i - 1], rays[j - 1], rays[k - 1], rays[l - 1]))
-        for h, (adj, det) in zip(missing, adjugates4(matrices)):
+        # a filled store has no None, a fresh one nothing else
+        if not store or store[0] is not None:
+            return store
+        rays = self.rays
+        matrices = [(rays[i - 1], rays[j - 1], rays[k - 1], rays[l - 1]) for i, j, k, l in self.maxcones]
+        for h, (adj, det) in enumerate(adjugates4(matrices)):
             if det == 1:
                 duals = adj
             elif det == -1:
@@ -396,15 +383,14 @@ class Fan:
         return store
 
     def cone_basis(self, mc: Cone) -> tuple:
-        """``(duals, det)`` of the maximal cone ``mc``, as :meth:`cone_bases`
-        stores it, computed as a batch of one when the store lacks it. Raises
-        :class:`FanError` naming the cone when it is degenerate (``det`` 0)
-        or not a maximal cone.
+        """``(duals, det)`` of the maximal cone ``mc``, read from
+        :meth:`cone_bases`. Raises :class:`FanError` naming the cone when it
+        is degenerate (``det`` 0) or not a maximal cone.
         """
         h = self._maxindex.get(mc)
         if h is None:
             raise FanError(f"{mc} is not a maximal cone of the fan")
-        entry = self._bases[h] or self.cone_bases((h,))[h]
+        entry = self.cone_bases()[h]
         if not entry[1]:
             raise FanError(f"cone {mc} is degenerate")
         return entry
@@ -414,19 +400,19 @@ class Fan:
 
         ``cone`` is a sorted face containing ``w``; the functional is the dual
         basis element of ``w`` on the maximal cone holding that face. Raises
-        :class:`FanError` when ``cone`` is not a face or that maximal cone is
-        degenerate.
+        :class:`FanError` when ``cone`` is not a face, does not contain
+        ``w``, or that maximal cone is degenerate.
         """
         mc = self._container.get(cone)
         if mc is None:
             raise FanError(f"{cone} is not a cone of the fan")
+        if w not in cone:
+            raise FanError(f"ray {w} is not in {cone}")
         return self.cone_basis(mc)[0][mc.index(w)]
 
-    def wall_relations(self, positions: Iterable[int] | None = None) -> list:
-        """The store of wall relations, a list aligned with :attr:`cones3`
-        (``None`` where not yet computed), filled for the walls at the
-        indices ``positions`` (default: every wall) in one batch and
-        returned whole.
+    def wall_relations(self) -> list:
+        """The store of wall relations, a list aligned with :attr:`cones3`,
+        filled whole on the first call and returned. Never raises.
 
         With neighbours a < b in :attr:`walls`, ``tau + a`` is the maximal
         cone holding ``tau`` (at the first place where the two sorted cones
@@ -435,33 +421,20 @@ class Fan:
         over the rays k of ``tau + a``, in their order; ``tables.wall_rows``
         has the position of x_a. The cones lie on opposite sides of ``tau``
         exactly when x_a < 0, and x_w for w in ``tau`` gives the curve
-        numbers (:meth:`curve_numbers`). The bases of the holders come from
-        :meth:`cone_bases` in one call, and each relation is computed once
-        per fan. Raises :class:`FanError` at the first wall, in the order
-        given, that lies in other than two maximal cones or has a degenerate
-        holder; the walls before it stay stored.
+        numbers (:meth:`curve_numbers`). A wall that lies in other than two
+        maximal cones, or whose holder is degenerate, has no relation and
+        keeps ``None``; the readers that need it raise the error of
+        :meth:`_no_relation`. The bases of the holders come from
+        :meth:`cone_bases`, and each relation is computed once per fan.
         """
         store = self._relations
-        rows, links = self.tables.wall_rows, self.tables.wall_links
-        full = positions is None
-        if full:
-            if self._relations_full:
-                return store
-            todo = [t for t, x in enumerate(store) if x is None]
-            bases = self.cone_bases()
-        else:
-            todo = [t for t in dict.fromkeys(positions) if store[t] is None]
-            if not todo:
-                return store
-            bases = self.cone_bases([rows[t][0] for t in todo])
-        rays = self.rays
-        for t in todo:
-            link = links[t]
-            if len(link) != 2:
-                raise FanError(f"wall {self.cones3[t]} lies in {len(link)} maximal cone(s)")
-            duals, det = bases[rows[t][0]]
-            if not det:
-                raise FanError(f"cone {self.maxcones[rows[t][0]]} is degenerate")
+        if self._relations_full:
+            return store
+        bases, rays = self.cone_bases(), self.rays
+        for t, (link, (h, _)) in enumerate(zip(self.tables.wall_links, self.tables.wall_rows)):
+            duals = bases[h][0]
+            if len(link) != 2 or duals is None:
+                continue
             (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = duals
             v0, v1, v2, v3 = rays[link[1] - 1]
             store[t] = (
@@ -470,21 +443,29 @@ class Fan:
                 c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
                 d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
             )
-        if full:
-            # set only here, so a full fill that raised leaves it unset
-            self._relations_full = True
+        self._relations_full = True
         return store
+
+    def _no_relation(self, t: int) -> FanError:
+        """Why the wall at index ``t`` of :attr:`cones3` has no relation:
+        it lies in other than two maximal cones, or its holder is
+        degenerate."""
+        link = self.tables.wall_links[t]
+        if len(link) != 2:
+            return FanError(f"wall {self.cones3[t]} lies in {len(link)} maximal cone(s)")
+        return FanError(f"cone {self.maxcones[self.tables.wall_rows[t][0]]} is degenerate")
 
     def wall_relation(self, tau: Cone) -> dict:
         """The wall relation of the sorted 3-cone ``tau`` as a mapping from
-        each ray k of its holder to x_k, read from :meth:`wall_relations`,
-        which computes it as a batch of one when the store lacks it. Raises
-        :class:`FanError` when ``tau`` is not a 3-cone of the fan, and
-        otherwise as :meth:`wall_relations` does."""
+        each ray k of its holder to x_k, read from :meth:`wall_relations`.
+        Raises :class:`FanError` when ``tau`` is not a 3-cone of the fan or
+        has no relation (:meth:`_no_relation`)."""
         t = self.tables.wall_at.get(tau)
         if t is None:
             raise FanError(f"{tau} is not a 3-dimensional cone of the fan")
-        x = self._relations[t] or self.wall_relations((t,))[t]
+        x = self.wall_relations()[t]
+        if x is None:
+            raise self._no_relation(t)
         return dict(zip(self.maxcones[self.tables.wall_rows[t][0]], x))
 
     def curve_numbers(self, tau: Cone) -> dict:
@@ -891,8 +872,8 @@ def validate_fan(fan: Fan) -> FanReport:
     coordinate x_a over the generators of ``wall + a``, the holder, at the
     position of a that ``tables.wall_rows`` records. The point check asks
     :func:`containing_cones`, which reads the filled bases. The fan keeps
-    both stores, so later readers (the Fano check, ch2) compute neither
-    again.
+    both stores, so later readers (the Fano check, ch2 on every surface)
+    compute neither again.
     """
     problems = []
     simplicial_ok = True

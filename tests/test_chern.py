@@ -23,7 +23,7 @@ from toricfano.chern import (
     divisor_dot_surface,
 )
 from toricfano.exactlin import dot
-from toricfano.fan import Fan, FanError, build_fan, build_fan_from_rays, validate_fan
+from toricfano.fan import Fan, FanError, _cone, build_fan, build_fan_from_rays, validate_fan
 
 
 @pytest.fixture(scope="module")
@@ -131,20 +131,16 @@ def test_classify_reads_the_wall_relations_that_validation_cached(database, monk
     assert calls == {}
 
 
-def test_a_single_surface_fills_only_the_stores_around_it(fans):
-    # ch2 --surface answers from the walls around sigma, never a full table
+def test_a_single_surface_on_a_full_fan_leaves_its_stores_unfilled(fans):
+    # ch2 of one surface is summed on the star of sigma, a fan of its own
     for name in ("H1", "124"):
         fan = fans[name]
-        holder = fan.tables.faces
+        values = classify(Fan(fan.rays, fan.tables)).values
         for sigma in fan.cones2:
             cold = Fan(fan.rays, fan.tables)
-            ch2_dot_surface(cold, sigma)
-            walls = {tau for tau in fan.cones3 if set(sigma) <= set(tau)}
-            filled = {tau for tau, x in zip(fan.cones3, cold._relations) if x is not None}
-            assert filled == walls, (name, sigma)
-            # each store place belongs to one maximal cone
-            filled = {mc for mc, entry in zip(fan.maxcones, cold._bases) if entry is not None}
-            assert filled == {holder[tau] for tau in walls} | {holder[sigma]}, (name, sigma)
+            assert ch2_dot_surface(cold, sigma) == values[sigma], (name, sigma)
+            assert cold._bases == [None] * len(fan.maxcones), (name, sigma)
+            assert cold._relations == [None] * len(fan.cones3), (name, sigma)
 
 
 @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unvalidated"])
@@ -410,6 +406,44 @@ def test_classify_refuses_a_wall_without_a_relation(fan, message):
     for compute in computations:
         with pytest.raises(FanError, match=message):
             compute(Fan(fan.rays, fan.maxcones))
+
+
+@pytest.mark.parametrize(
+    ("fan", "missing"),
+    [
+        (
+            Fan(P4_RAYS, build_fan(P4_RAYS, ((1, 2, 3, 4, 5),)).maxcones[1:]),
+            {(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)},
+        ),
+        # the walls held by the degenerate (1, 2, 3, 4) and (1, 2, 3, 5)
+        (
+            build_fan(DEGENERATE_RAYS, ((1, 2, 3, 4, 5),)),
+            {(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5)},
+        ),
+    ],
+    ids=["incomplete", "degenerate"],
+)
+def test_wall_relations_leave_none_at_the_walls_without_a_relation(fan, missing):
+    fan = Fan(fan.rays, fan.maxcones)
+    relations = fan.wall_relations()
+    assert {tau for tau, x in zip(fan.cones3, relations) if x is None} == missing
+    assert fan.wall_relations() is relations
+    # v_b = sum of x_k v_k over the holder tau + a, for every other wall
+    for tau, x in zip(fan.cones3, relations):
+        if x is not None:
+            a, b = fan.walls[tau]
+            holder = _cone(tau + (a,))
+            combined = [sum(c * fan.ray(k)[i] for c, k in zip(x, holder)) for i in range(4)]
+            assert tuple(combined) == fan.ray(b), tau
+
+
+@pytest.mark.parametrize("u_fn", [None, dual_functional], ids=["default", "u_fn"])
+def test_both_routes_refuse_a_divisor_the_fan_does_not_have(p4, u_fn):
+    for w in (0, 6, 9, -1):
+        with pytest.raises(FanError, match=rf"^ray index {w} outside 1\.\.5$"):
+            divisor_dot_curve(p4, w, (1, 2, 3), u_fn=u_fn)
+        with pytest.raises(FanError, match=rf"^ray index {w} outside 1\.\.5$"):
+            divisor_dot_surface(p4, w, (1, 2), u_fn=u_fn)
 
 
 def test_ch2_of_a_non_face_names_it(h1):

@@ -246,9 +246,9 @@ def test_cone_basis_refuses_a_cone_that_is_not_maximal(h1):
     with pytest.raises(FanError, match=r"^\(1, 2, 3, 4\) is not a maximal cone of the fan$"):
         fan.cone_basis((1, 2, 3, 4))
     # the store stays one of maximal cones: the refused cone has no place in
-    # it, only the first place is empty, and the full fill completes it
-    assert [entry is None for entry in fan._bases] == [True] + [False] * (len(fan.maxcones) - 1)
-    assert None not in fan.cone_bases() and len(fan._bases) == len(fan.maxcones)
+    # it, and the first read filled every place, which later reads return
+    assert None not in fan._bases and len(fan._bases) == len(fan.maxcones)
+    assert fan.cone_bases() is fan._bases
     assert validate_fan(fan).ok
 
 
@@ -268,6 +268,16 @@ def test_degenerate_cone_is_reported_not_divided_by():
     with pytest.raises(FanError, match=r"^cone \(1, 2, 3, 4\) is degenerate$"):
         primitive_relation(fan, (1, 2, 3, 4, 5))
     assert not lattice_equivalent(fan, fan)
+
+
+def test_dual_refuses_a_ray_outside_the_cone(p4):
+    # (1, 2, 3, 4) holds both cones: it has no ray 5, and it has ray 4,
+    # which (1, 2, 3) does not
+    with pytest.raises(FanError, match=r"^ray 5 is not in \(1, 2\)$"):
+        p4.dual(5, (1, 2))
+    with pytest.raises(FanError, match=r"^ray 4 is not in \(1, 2, 3\)$"):
+        p4.dual(4, (1, 2, 3))
+    assert p4.dual(1, (1, 2)) == (1, 0, 0, 0)
 
 
 def test_is_fano(h1, p4):
