@@ -144,24 +144,22 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     Always a half-integer on a smooth fan.
 
     This is the single-surface route, which ``ch2 --surface`` and
-    ``paper-table`` take. By default it sums on the star of sigma, the
-    maximal cones that contain it (Fulton, *Introduction to Toric
-    Varieties*, 3.1): the fan itself when they are all of its maximal
-    cones, as :func:`~toricfano.fan.build_star` makes it, and otherwise a
-    :class:`Fan` on the same rays and those cones, so a full fan's stores
-    stay unfilled. :func:`classify` reaches the same sums for every surface
-    at once in one sweep over the walls.
+    ``paper-table`` take. By default it sums on the fan it is given, and
+    reads that fan's stores: on a validated fan they are already filled,
+    and on a cold one each is filled whole, once. The star of sigma that
+    :func:`~toricfano.fan.build_star` makes, the maximal cones that contain
+    it (Fulton, *Introduction to Toric Varieties*, 3.1), gives the same
+    value. :func:`classify` reaches the same sums for every surface at
+    once in one sweep over the walls.
 
     The default sum is read from the curve numbers of the walls sigma + n
     around sigma: D_w . V(sigma) is the curve of sigma + w for w in the
     link, sum_n -<u_w, v_n> times the curve of sigma + n for w in sigma
     (u_w = ``fan.dual(w, sigma)``), and zero otherwise. So the sum has one
     term per wall around sigma (:func:`_wall_sum`), and each wall's term
-    depends only on that wall and on sigma. Every maximal cone with such a
-    wall contains sigma, so the star has both cones of each wall and the
-    same holder as the full fan. With ``u_fn`` the divisor-by-divisor route
-    below is taken instead. Both routes raise :class:`FanError` for a
-    ``sigma`` that is not a 2-cone of the fan.
+    depends only on that wall and on sigma. With ``u_fn`` the
+    divisor-by-divisor route below is taken instead. Both routes raise
+    :class:`FanError` for a ``sigma`` that is not a 2-cone of the fan.
     """
     from fractions import Fraction
 
@@ -169,11 +167,10 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     if len(sigma) != 2:
         raise FanError(f"{sigma} is not a 2-dimensional cone of the fan")
     if u_fn is None:
-        p, q = sigma
-        # a repeated ray is no 2-cone, so its star has no maximal cone
-        inside = [mc for mc in fan.maxcones if p in mc and q in mc] if p != q else []
-        star = fan if len(inside) == len(fan.maxcones) else Fan(fan.rays, inside)
-        return Fraction(_wall_sum(star, sigma), 2)
+        if sigma[0] == sigma[1]:
+            # refused before the walls around the ray are read
+            raise FanError(f"{sigma} is not a cone of the fan")
+        return Fraction(_wall_sum(fan, sigma), 2)
     total = 0
     for w in range(1, fan.ray_count + 1):
         for tau, coeff in divisor_dot_surface(fan, w, sigma, u_fn).items():
@@ -181,30 +178,28 @@ def ch2_dot_surface(fan: Fan, sigma: Iterable[int], u_fn: UFunction | None = Non
     return Fraction(total, 2)
 
 
-def _wall_sum(star: Fan, sigma: Cone):
-    """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone on its star, a fan
-    whose maximal cones all contain sigma.
+def _wall_sum(fan: Fan, sigma: Cone):
+    """sum_w D_w . (D_w . V(sigma)) for a sorted 2-cone of distinct rays.
 
-    The walls around sigma = (p, q) are the star's 3-cones tau = sigma + n,
+    The walls around sigma = (p, q) are the fan's 3-cones tau = sigma + n,
     taken in :attr:`Fan.cones3` order, which is the order of n. Their
-    relations x come from :meth:`Fan.wall_relations` of the star, and the
-    first of these walls without one raises before the duals of sigma are
-    read. Every other wall of the star lies in one of its cones, so it has
-    no relation and is not read. The curve of tau meets D_w in -x_w points
-    for w in tau. The term of n is then -x_n + <u_p, v_n> x_p +
-    <u_q, v_n> x_q with u_p, u_q the duals of p, q on sigma. Each x is a
-    4-tuple over the rays of the holder of tau, read at the positions of n,
-    p and q there.
+    relations x come from :meth:`Fan.wall_relations`, and the first of
+    these walls without one raises before the duals of sigma are read; a
+    sigma that is not a cone has no wall around it, and :meth:`Fan.dual`
+    refuses it. The curve of tau meets D_w in -x_w points for w in tau.
+    The term of n is then -x_n + <u_p, v_n> x_p + <u_q, v_n> x_q with
+    u_p, u_q the duals of p, q on sigma. Each x is a 4-tuple over the rays
+    of the holder of tau, read at the positions of n, p and q there.
     """
     p, q = sigma
-    tables, rays = star.tables, star.rays
-    relations = star.wall_relations()
+    tables, rays = fan.tables, fan.rays
+    relations = fan.wall_relations()
     # each wall around sigma at its index t, with its third ray n
-    around = [(t, sum(tau) - p - q) for t, tau in enumerate(star.cones3) if p in tau and q in tau]
+    around = [(t, sum(tau) - p - q) for t, tau in enumerate(fan.cones3) if p in tau and q in tau]
     for t, _ in around:
         if relations[t] is None:
-            raise star._no_relation(t)
-    up, uq = star.dual(p, sigma), star.dual(q, sigma)
+            raise fan._no_relation(t)
+    up, uq = fan.dual(p, sigma), fan.dual(q, sigma)
     total = 0
     for t, n in around:
         x = relations[t]

@@ -283,9 +283,9 @@ class Fan:
     functional on that face. Each store is filled whole on its first read
     and kept, so :func:`validate_fan` computes every basis and relation
     once, and the Fano check, :func:`~toricfano.chern.classify` and
-    :func:`containing_cones` read the stores with one call each. A single
-    surface is summed on its star (:func:`toricfano.chern.ch2_dot_surface`),
-    a fan of its own, so it fills no store of the full fan.
+    :func:`containing_cones` read the stores with one call each, and so
+    does the sum of a single surface
+    (:func:`toricfano.chern.ch2_dot_surface`) on whatever fan it is given.
     :meth:`cone_basis` and :meth:`wall_relation` read one place.
 
     The intersection methods raise :class:`FanError` naming the cone on a
@@ -628,7 +628,8 @@ def build_star(rays: Sequence[LatticePoint], collections: Iterable[Iterable[int]
     The invariant surface of a 2-cone sigma is the toric variety of its
     star (Fulton, *Introduction to Toric Varieties*, 3.1), and the star
     gives :func:`toricfano.chern.ch2_dot_surface` the value of the full
-    fan. Every maximal cone that contains a wall sigma + n contains sigma,
+    fan from fewer cones; ``ch2 --surface`` on the bundled atlas sums on
+    it. Every maximal cone that contains a wall sigma + n contains sigma,
     so the star holds both cones of each wall around sigma, and the first
     of them in sorted order, the wall's holder, is the full fan's; so is
     the holder of sigma. Those are all that the single surface reads.

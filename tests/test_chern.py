@@ -131,16 +131,35 @@ def test_classify_reads_the_wall_relations_that_validation_cached(database, monk
     assert calls == {}
 
 
-def test_a_single_surface_on_a_full_fan_leaves_its_stores_unfilled(fans):
-    # ch2 of one surface is summed on the star of sigma, a fan of its own
+def test_a_single_surface_sums_on_the_fan_it_is_given(fans, monkeypatch):
+    # ch2 of one surface reads the stores of the fan it is handed: on a
+    # validated fan it builds no table set and computes no cone basis
+    built = Counter()
+    tables_init = toricfano.fan.FanTables.__init__
+    adjugates4 = toricfano.fan.adjugates4
+
+    def counted_tables(tables, maxcones):
+        built["FanTables"] += 1
+        tables_init(tables, maxcones)
+
+    def counted_adjugates(matrices):
+        built["adjugates4"] += 1
+        return adjugates4(matrices)
+
     for name in ("H1", "124"):
         fan = fans[name]
         values = classify(Fan(fan.rays, fan.tables)).values
         for sigma in fan.cones2:
             cold = Fan(fan.rays, fan.tables)
             assert ch2_dot_surface(cold, sigma) == values[sigma], (name, sigma)
-            assert cold._bases == [None] * len(fan.maxcones), (name, sigma)
-            assert cold._relations == [None] * len(fan.cones3), (name, sigma)
+        validated = Fan(fan.rays, fan.tables)
+        assert validate_fan(validated).ok
+        with monkeypatch.context() as patched:
+            patched.setattr(toricfano.fan.FanTables, "__init__", counted_tables)
+            patched.setattr(toricfano.fan, "adjugates4", counted_adjugates)
+            for sigma in fan.cones2:
+                assert ch2_dot_surface(validated, sigma) == values[sigma], (name, sigma)
+        assert built == {}, name
 
 
 @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unvalidated"])
@@ -435,6 +454,16 @@ def test_wall_relations_leave_none_at_the_walls_without_a_relation(fan, missing)
             holder = _cone(tau + (a,))
             combined = [sum(c * fan.ray(k)[i] for c, k in zip(x, holder)) for i in range(4)]
             assert tuple(combined) == fan.ray(b), tau
+
+
+@pytest.mark.parametrize("u_fn", [None, dual_functional], ids=["default", "u_fn"])
+def test_a_repeated_ray_is_refused_before_any_wall_is_read(u_fn):
+    # P4 without the cone (1, 2, 3, 4): the walls around each of rays 1-4
+    # include one without a relation, which would raise a wall message first
+    broken = Fan(P4_RAYS, build_fan(P4_RAYS, ((1, 2, 3, 4, 5),)).maxcones[1:])
+    for k in range(1, 6):
+        with pytest.raises(FanError, match=rf"^\({k}, {k}\) is not a cone of the fan$"):
+            ch2_dot_surface(broken, (k, k), u_fn=u_fn)
 
 
 @pytest.mark.parametrize("u_fn", [None, dual_functional], ids=["default", "u_fn"])

@@ -645,16 +645,30 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
     h1x = (len(h1.rays), frozenset(h1.collections))
     assert derived == Counter([(n, frozenset(collections)) for n, collections in types] + [h1x])
 
-    # paper-table builds the tables of each type in the reference table once
-    from toricfano.atlas import REFERENCE_TABLE
+    # paper-table builds the tables of each type in the reference table once,
+    # bundled or from a file, and sums each row's surface on that type's fan
+    from toricfano.atlas import REFERENCE_TABLE, SHIPPED_PATH
 
+    listed = {row[0] for row in REFERENCE_TABLE}
+    types = Counter({(len(rec.rays), rec.collections): 1 for rec in database if rec.name in listed})
+    assert len(types) == 16
+    tables = []
+    tables_init = fan.FanTables.__init__
+
+    def counted_tables(self, maxcones):
+        tables.append(self)
+        tables_init(self, maxcones)
+
+    monkeypatch.setattr(fan.FanTables, "__init__", counted_tables)
     calls.clear()
     code, _, _ = run(capsys, *db_args, "paper-table")
     assert code == 1  # the H2 misprint, see ERRATA
-    listed = {row[0] for row in REFERENCE_TABLE}
-    types = Counter({(len(rec.rays), rec.collections): 1 for rec in database if rec.name in listed})
     assert Counter({key: n for (name, key), n in calls.items() if name == "build_fan"}) == types
-    assert len(types) == 16
+    # the shipped file declares no collections for M5, so its fan is built from its rays
+    for args in dict.fromkeys([tuple(db_args), (), ("--db", str(SHIPPED_PATH))]):
+        tables.clear()
+        code, _, _ = run(capsys, *args, "paper-table")
+        assert code == 1 and len(tables) == 16, args
 
 
 def test_validate_builds_no_face_table(tmp_path, monkeypatch, capsys):
