@@ -20,7 +20,7 @@ from .atlas import (
     shipped_database,
 )
 from .chern import ch2_dot_surface
-from .fan import FanError, build_star, primitive_relation
+from .fan import build_star, primitive_relation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -147,17 +147,16 @@ def cmd_ch2(args) -> int:
     if rec is None:
         return EXIT_FAIL
     if args.surface is not None and args.db is None:
-        # the test suite validates the bundled records, and one surface
-        # needs only the maximal cones that contain it
+        # the one path that trusts the bundled atlas, which the test suite
+        # validates: one surface needs only the maximal cones that contain it
         return _print_surface(args, rec, build_star(rec.rays, rec.collections, args.surface))
     analysis = analyse(rec)
-    fan, refusal = _fan_to_compute_on(args, analysis)
-    if fan is None:
-        _print_err(refusal)
+    if not analysis.report.ok:
+        _print_err(_failure_lines(analysis.report))
         return EXIT_FAIL
 
     if args.surface is not None:
-        return _print_surface(args, rec, fan)
+        return _print_surface(args, rec, analysis.fan)
 
     report = analysis.ch2
     rows = [
@@ -183,18 +182,6 @@ def _print_err(lines) -> None:
 
 def _failure_lines(report) -> list[str]:
     return [f"{report.name}: {problem}" for problem in report.problems] + [f"{report.name}: validation failed"]
-
-
-def _fan_to_compute_on(args, analysis):
-    """``(fan, None)``, or ``(None, lines)`` with the stderr lines that say
-    why there is no fan. Records of a ``--db`` file must validate first;
-    the test suite validates the bundled ones."""
-    if args.db is not None and not analysis.report.ok:
-        return None, _failure_lines(analysis.report)
-    try:
-        return analysis.fan, None
-    except FanError as exc:
-        return None, [f"{analysis.record.name}: {exc}"]
 
 
 def cmd_classify(args) -> int:
@@ -269,10 +256,10 @@ def cmd_paper_table(args) -> int:
     mismatches = [None] * len(records)
     refusals = {}
     for i, analysis in analyse_each(records):
-        fan, refusal = _fan_to_compute_on(args, analysis)
-        if fan is None:
-            refusals[i] = refusal
+        if not analysis.report.ok:
+            refusals[i] = analysis.report
             continue
+        fan = analysis.fan
         name, surface, expected = REFERENCE_TABLE[i]
         sigma = tuple(sorted(surface))
         if sigma not in fan.cones2:
@@ -285,7 +272,7 @@ def cmd_paper_table(args) -> int:
                 mismatches[i] = f"{name} {_surface_str(surface)}: computed {computed}, reference {expected}"
         rows[i] = {"variety": name, "surface": _surface_str(surface), "value": value}
     if refusals:
-        _print_err(refusals[min(refusals)])
+        _print_err(_failure_lines(refusals[min(refusals)]))
         return EXIT_FAIL
     if len(records) < len(REFERENCE_TABLE):
         print(f"missing variety: {REFERENCE_TABLE[len(records)][0]}", file=sys.stderr)

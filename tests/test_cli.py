@@ -547,6 +547,33 @@ def test_paper_table_validates_a_user_atlas(tmp_path, capsys):
     assert err.splitlines() == [f"E1: {line}" for line in DEGENERATE_ERR]
 
 
+def test_every_command_that_computes_validates_a_bundled_record(tmp_path, monkeypatch, capsys):
+    from toricfano import atlas, cli
+
+    # H1 with v1 and v7 swapped, as in the show test above, put into the
+    # bundled atlas: bundled or from a file, a command refuses it the same way
+    database = shipped_database()
+    h1 = database.lookup("H1")
+    rays = list(h1.rays)
+    rays[0], rays[6] = rays[6], rays[0]
+    broken = atlas.AtlasDatabase(
+        tuple(rec._replace(rays=tuple(rays)) if rec.name == "H1" else rec for rec in database)
+    )
+    path = tmp_path / "swap.txt"
+    path.write_text(render(broken))
+    atlas.analyse.cache_clear()
+    monkeypatch.setattr(cli, "shipped_database", lambda: broken)
+    code, out, err = run(capsys, "--db", str(path), "ch2", "H1")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0] == "H1: cones (1, 3, 4, 7) and (1, 3, 4, 8) lie on one side of wall (1, 3, 4)"
+    assert lines[-1] == "H1: validation failed"
+    for argv in (["ch2", "H1"], ["paper-table"], ["classify", "H1"], ["classify", "--all"]):
+        for db_args in ([], ["--db", str(path)]):
+            assert run(capsys, *db_args, *argv) == (1, "", err), (db_args, argv)
+    assert run(capsys, "--db", str(path), "ch2", "H1", "--surface", "3,4") == (1, "", err)
+
+
 def _shuffled_atlas(tmp_path):
     """The bundled atlas in a fixed-seed shuffle, written with M5's derived
     collections, as ``--db`` arguments and the records read back."""

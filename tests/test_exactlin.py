@@ -18,6 +18,11 @@ def test_dot_rejects_length_mismatch():
         dot((1, 2, 3), (1, 2, 3, 4))
 
 
+def test_solve_rejects_height_mismatch():
+    with pytest.raises(ValueError, match="^matrix and right-hand side have different heights$"):
+        solve([(1, 0), (0, 1)], (1,))
+
+
 def test_det4_identity():
     assert det4([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]) == 1
 

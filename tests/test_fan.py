@@ -310,6 +310,11 @@ def test_every_fan_holds_its_rays_as_integer_tuples(h1):
         assert all(type(v) is tuple and all(type(x) is int for x in v) for v in fan.rays)
 
 
+def test_a_fan_equals_only_fans_and_shows_its_size(h1):
+    assert (h1 == 1) is False
+    assert repr(h1) == "Fan(8 rays, 15 maximal cones)"
+
+
 def test_face_fan_construction_agrees(h1, p4, database):
     assert build_fan_from_rays(P4_RAYS) == p4
     assert build_fan_from_rays(H1_RAYS) == h1
