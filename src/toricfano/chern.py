@@ -250,7 +250,7 @@ def _surface_sums(fan: Fan) -> list:
     adds for n. When n is a generator of that cone, both pairings vanish
     and the term is -x_n. Which of the two a (wall, surface) pair is, and
     where x_n, x_p and x_q sit in x, comes from the index table
-    :meth:`~toricfano.fan.FanTables.sweep`, built once per table set. The
+    :attr:`~toricfano.fan.FanTables.sweep`, built once per table set. The
     relations and the bases are read by position from the fan's stores,
     :meth:`Fan.wall_relations` and :meth:`Fan.cone_bases`, one call each;
     the duals of p and q sit at the positions that the sweep's surface
@@ -266,7 +266,7 @@ def _surface_sums(fan: Fan) -> list:
         raise fan._no_relation(relations.index(None))
     bases = fan.cone_bases()
     tables = fan.tables
-    inside, outside, surface_rows = tables.sweep()
+    inside, outside, surface_rows = tables.sweep
     acc = [0] * len(tables.cones2)
     for s, t, kn in inside:
         acc[s] -= relations[t][kn]

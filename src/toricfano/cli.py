@@ -245,7 +245,8 @@ def cmd_paper_table(args) -> int:
 
     db = _load_db(args.db)
     # the rows before the first missing variety are computed, a type at a
-    # time, and the first refusal in table order is the one reported
+    # time, until a record is refused; every record is still validated, so
+    # the first refusal in table order is the one reported
     records = []
     for name, _, _ in REFERENCE_TABLE:
         try:
@@ -258,6 +259,7 @@ def cmd_paper_table(args) -> int:
     for i, analysis in analyse_each(records):
         if not analysis.report.ok:
             refusals[i] = analysis.report
+        if refusals:
             continue
         fan = analysis.fan
         name, surface, expected = REFERENCE_TABLE[i]

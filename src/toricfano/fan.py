@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from operator import itemgetter, mul
 
@@ -78,34 +78,19 @@ class FanTables:
     on a wall in exactly two maximal cones. That is all that validation and
     the Fano check read.
 
-    :attr:`faces`, which maps each face to the maximal cone that holds it,
-    the first in sorted order that has it, and the sorted 2-cones
-    :attr:`cones2` are built on first read, from the walls in the order of
-    their holders (:meth:`_build_faces`). :attr:`wall_at`, each wall's index
-    in :attr:`cones3`, turns a wall into its index for the readers that
-    start from a wall, and is built on first read too. The minimal non-faces
-    :attr:`nonfaces` are filled in by :func:`minimal_nonfaces` from the
-    maximal cones alone, on subset bitmaps and without the face table, and
-    the index tables of the ch2 sweep by :meth:`sweep`, each on first use.
-    Fans with the same maximal cones can share one instance, and a fan
-    built from primitive collections has the same maximal cones as any
-    other with the same ray count and collections. Treated as immutable.
+    The other tables are cached properties, each built on its first read
+    and kept. :attr:`faces` maps each face to the maximal cone that holds
+    it, the first in sorted order that has it, and sets the sorted 2-cones
+    :attr:`cones2` in the same pass over the walls, taken in the order of
+    their holders. :attr:`wall_at`, each wall's index in :attr:`cones3`,
+    turns a wall into its index for the readers that start from a wall.
+    :attr:`nonfaces` holds the minimal non-faces, derived from the maximal
+    cones alone on subset bitmaps and without the face table, and
+    :attr:`sweep` the index tables of the ch2 sweep. Fans with the same
+    maximal cones can share one instance, and a fan built from primitive
+    collections has the same maximal cones as any other with the same ray
+    count and collections. Treated as immutable.
     """
-
-    __slots__ = (
-        "maxcones",
-        "maxindex",
-        "walls",
-        "cones3",
-        "wall_rows",
-        "wall_links",
-        "nonfaces",
-        "_held",
-        "_faces",
-        "_cones2",
-        "_wall_at",
-        "_sweep",
-    )
 
     def __init__(self, maxcones: Iterable[Cone]):
         self.maxcones: tuple[Cone, ...] = tuple(sorted(map(_cone, maxcones)))
@@ -150,29 +135,12 @@ class FanTables:
         self.cones3: tuple[Cone, ...] = tuple(sorted(walls))
         self.wall_rows: list[tuple[int, int]] = list(map(held.__getitem__, self.cones3))
         self.wall_links: list[tuple[int, ...]] = list(map(walls.__getitem__, self.cones3))
-        self.nonfaces: tuple[Cone, ...] | None = None
         self._held = held
-        self._faces: dict[Cone, Cone] | None = None
-        self._cones2: tuple[Cone, ...] | None = None
-        self._wall_at: dict[Cone, int] | None = None
-        self._sweep: tuple | None = None
 
-    @property
+    @cached_property
     def faces(self) -> dict[Cone, Cone]:
         """Each face mapped to the first maximal cone in sorted order that
-        has it, built on first read."""
-        if self._faces is None:
-            self._build_faces()
-        return self._faces
-
-    @property
-    def cones2(self) -> tuple[Cone, ...]:
-        """The sorted 2-cones, built on first read with :attr:`faces`."""
-        if self._cones2 is None:
-            self._build_faces()
-        return self._cones2
-
-    def _build_faces(self) -> None:
+        has it; sets :attr:`cones2` in the same pass."""
         # The first cone H that has a pair or a ray has a wall with it, and
         # holds that wall: the wall's holder comes no later than H and has
         # the pair too. So the walls, taken in their holders' order, give
@@ -191,19 +159,24 @@ class FanTables:
                 if ray not in faces:
                     faces[ray] = mc
         faces.update(zip(maxcones, maxcones))
-        self._faces = faces
-        self._cones2 = tuple(sorted(pairs))
+        self.cones2 = tuple(sorted(pairs))
+        return faces
 
-    @property
+    @cached_property
+    def cones2(self) -> tuple[Cone, ...]:
+        """The sorted 2-cones, which :attr:`faces` sets in its pass."""
+        self.faces
+        return self.__dict__["cones2"]
+
+    @cached_property
     def wall_at(self) -> dict[Cone, int]:
-        """Each wall's index in :attr:`cones3`, built on first use."""
-        if self._wall_at is None:
-            self._wall_at = dict(zip(self.cones3, range(len(self.cones3))))
-        return self._wall_at
+        """Each wall's index in :attr:`cones3`."""
+        return dict(zip(self.cones3, range(len(self.cones3))))
 
+    @cached_property
     def sweep(self) -> tuple[list, list, list]:
-        """The index tables of the ch2 sweep (:func:`toricfano.chern.classify`),
-        built on first use: ``(inside, outside, surface_rows)``.
+        """The index tables of the ch2 sweep (:func:`toricfano.chern.classify`):
+        ``(inside, outside, surface_rows)``.
 
         ``surface_rows``, aligned with :attr:`cones2`, holds ``(h, i, j)``
         per 2-cone ``(p, q)``: the index of its holder in :attr:`maxcones`
@@ -220,11 +193,6 @@ class FanTables:
         the wall's holder), and ``(s, t, n - 1, kn, kp, kq)`` in ``outside``
         otherwise.
         """
-        if self._sweep is None:
-            self._sweep = self._build_sweep()
-        return self._sweep
-
-    def _build_sweep(self) -> tuple[list, list, list]:
         # one pass over the 2-cones, then one over the walls
         faces, index = self.faces, self.maxindex
         surface_rows = []
@@ -256,6 +224,61 @@ class FanTables:
                 outside.append((s, t, c - 1, kc, ka, kb))
         return inside, outside, surface_rows
 
+    @cached_property
+    def nonfaces(self) -> tuple[Cone, ...]:
+        """All minimal non-faces, in order of size, then lexicographically,
+        with n the largest ray index in the maximal cones.
+
+        A subset of size 2 to 5 qualifies when it is not a face but every
+        proper subset is. Every proper subset is a face exactly when the
+        subset holds no ray outside the maximal cones and no smaller minimal
+        non-face, so the sizes are taken in turn, on the subset bitmaps of
+        :func:`_subset_bits`. The maximal cones are bits over the
+        4-subsets, and ``held[i]`` the cones that hold ray i. The candidates
+        of size k are the k-subsets that hold neither an unused ray nor a
+        non-face already found (``smaller[k]``); a candidate pair or triple
+        is a non-face when no cone holds all of it (the AND of its rays'
+        ``held`` is 0), a candidate 4-subset when it is not a cone, and a
+        5-subset always is. Each non-face found marks the subsets of every
+        larger size that hold it. No 6-subset qualifies, since its 5-subsets
+        are non-faces, and no non-face of two or more rays holds an unused
+        ray, so the rays above n change nothing.
+        """
+        n, top = max((mc[-1] for mc in self.maxcones), default=0), DIM + 1
+        # indexed by size; no non-face has fewer than two rays
+        contains = [()] * 2 + [_subset_bits(n, size) for size in range(2, top + 1)]
+        bits4 = contains[DIM]
+        cones = 0
+        for a, b, c, d in self.maxcones:
+            cones |= bits4[a] & bits4[b] & bits4[c] & bits4[d]
+        held = [cones & bits for bits in bits4]
+        smaller = [0] * (top + 1)
+        for i in range(1, n + 1):
+            if not held[i]:
+                for size in range(2, top + 1):
+                    smaller[size] |= contains[size][i]
+        found = []
+        for size in range(2, top + 1):
+            candidates = ((1 << comb(n, size)) - 1) & ~smaller[size]
+            if size == DIM:
+                candidates &= ~cones
+            subs = _subsets(n, size, candidates)
+            if size == 2:
+                subs = [(i, j) for i, j in subs if not held[i] & held[j]]
+            elif size == 3:
+                subs = [(i, j, k) for i, j, k in subs if not held[i] & held[j] & held[k]]
+            else:
+                subs = list(subs)
+            found += subs
+            for larger in range(size + 1, top + 1):
+                bits = contains[larger]
+                for sub in subs:
+                    inside = -1
+                    for i in sub:
+                        inside &= bits[i]
+                    smaller[larger] |= inside
+        return tuple(found)
+
 
 class Fan:
     """An indexed ray list plus the set of maximal cones.
@@ -280,10 +303,11 @@ class Fan:
     :attr:`maxcones`, and :meth:`wall_relations`, one coordinate 4-tuple per
     wall in the order of its holder's rays, aligned with :attr:`cones3`.
     Each face is held by one maximal cone, whose dual basis serves every
-    functional on that face. Each store is filled whole on its first read
-    and kept, so :func:`validate_fan` computes every basis and relation
-    once, and the Fano check, :func:`~toricfano.chern.classify` and
-    :func:`containing_cones` read the stores with one call each, and so
+    functional on that face. Each store is ``None`` until its first read
+    fills it, and is kept only once it is whole, so a fill that raises
+    leaves it unfilled. :func:`validate_fan` computes every basis and
+    relation once, and the Fano check, :func:`~toricfano.chern.classify`
+    and :func:`containing_cones` read the stores with one call each, and so
     does the sum of a single surface
     (:func:`toricfano.chern.ch2_dot_surface`) on whatever fan it is given.
     :meth:`cone_basis` and :meth:`wall_relation` read one place.
@@ -314,23 +338,14 @@ class Fan:
         self._maxindex = tables.maxindex
         self.walls = tables.walls
         self.cones3 = tables.cones3
-        self._bases: list = [None] * len(tables.maxcones)
-        self._relations: list = [None] * len(tables.cones3)
-        # the relations store keeps None at walls without a relation, so
-        # only this tells a filled one from a fresh one
-        self._relations_full = False
+        self._bases: list | None = None
+        self._relations: list | None = None
 
     @property
     def cones2(self) -> tuple[Cone, ...]:
         """The sorted 2-cones, read from the tables, which build them on
         first read."""
         return self.tables.cones2
-
-    @property
-    def _container(self) -> dict[Cone, Cone]:
-        # each face and its holder, read from the tables, which build the
-        # face table on first read
-        return self.tables.faces
 
     @property
     def ray_count(self) -> int:
@@ -344,7 +359,7 @@ class Fan:
         return self.rays[i - 1]
 
     def is_face(self, indices: Iterable[int]) -> bool:
-        return _cone(indices) in self._container
+        return _cone(indices) in self.tables.faces
 
     def is_maxcone(self, indices: Iterable[int]) -> bool:
         return _cone(indices) in self._maxindex
@@ -361,13 +376,12 @@ class Fan:
         raise :class:`FanError` naming the cone when they need its duals.
         Each basis is computed once per fan, by one :func:`adjugates4` call.
         """
-        store = self._bases
-        # a filled store has no None, a fresh one nothing else
-        if not store or store[0] is not None:
-            return store
+        if self._bases is not None:
+            return self._bases
         rays = self.rays
         matrices = [(rays[i - 1], rays[j - 1], rays[k - 1], rays[l - 1]) for i, j, k, l in self.maxcones]
-        for h, (adj, det) in enumerate(adjugates4(matrices)):
+        store = []
+        for adj, det in adjugates4(matrices):
             if det == 1:
                 duals = adj
             elif det == -1:
@@ -379,7 +393,8 @@ class Fan:
                 duals = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
             else:
                 duals = None
-            store[h] = (duals, det)
+            store.append((duals, det))
+        self._bases = store
         return store
 
     def cone_basis(self, mc: Cone) -> tuple:
@@ -403,7 +418,7 @@ class Fan:
         :class:`FanError` when ``cone`` is not a face, does not contain
         ``w``, or that maximal cone is degenerate.
         """
-        mc = self._container.get(cone)
+        mc = self.tables.faces.get(cone)
         if mc is None:
             raise FanError(f"{cone} is not a cone of the fan")
         if w not in cone:
@@ -412,7 +427,8 @@ class Fan:
 
     def wall_relations(self) -> list:
         """The store of wall relations, a list aligned with :attr:`cones3`,
-        filled whole on the first call and returned. Never raises.
+        filled whole on the first call and returned. Raises only where
+        :meth:`cone_bases` does.
 
         With neighbours a < b in :attr:`walls`, ``tau + a`` is the maximal
         cone holding ``tau`` (at the first place where the two sorted cones
@@ -427,10 +443,10 @@ class Fan:
         :meth:`_no_relation`. The bases of the holders come from
         :meth:`cone_bases`, and each relation is computed once per fan.
         """
-        store = self._relations
-        if self._relations_full:
-            return store
+        if self._relations is not None:
+            return self._relations
         bases, rays = self.cone_bases(), self.rays
+        store = [None] * len(self.cones3)
         for t, (link, (h, _)) in enumerate(zip(self.tables.wall_links, self.tables.wall_rows)):
             duals = bases[h][0]
             if len(link) != 2 or duals is None:
@@ -443,7 +459,7 @@ class Fan:
                 c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3,
                 d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3,
             )
-        self._relations_full = True
+        self._relations = store
         return store
 
     def _no_relation(self, t: int) -> FanError:
@@ -718,64 +734,13 @@ def build_fan_from_rays(rays: Sequence[LatticePoint]) -> Fan:
 
 def minimal_nonfaces(fan: Fan) -> tuple[Cone, ...]:
     """All minimal non-faces of the fan, i.e. its primitive collections, in
-    order of size, then lexicographically.
-
-    A subset of size 2 to 5 qualifies when it is not a face but every proper
-    subset is. Every proper subset is a face exactly when the subset holds
-    no ray outside the maximal cones and no smaller minimal non-face, so the
-    sizes are taken in turn, on the subset bitmaps of :func:`_subset_bits`.
-    The maximal cones are bits over the 4-subsets, and ``held[i]`` the cones
-    that hold ray i. The candidates of size k are the k-subsets that hold
-    neither an unused ray nor a non-face already found (``smaller[k]``); a
-    candidate pair or triple is a non-face when no cone holds all of it (the
-    AND of its rays' ``held`` is 0), a candidate 4-subset when it is not a
-    cone, and a 5-subset always is. Each non-face found marks the subsets of
-    every larger size that hold it. No 6-subset qualifies, since its
-    5-subsets are non-faces. The result depends on the maximal cones alone,
-    so it is computed once per :class:`FanTables` and shared by the fans
-    that share them. It names the collections that ``toricfano show``
-    prints for a record without any, derives them on load (the bundled M5)
-    and decides the round trip of declared collections
-    (:class:`toricfano.atlas.VarietyAnalysis`).
+    order of size, then lexicographically: :attr:`FanTables.nonfaces`,
+    derived once per table set and shared by the fans that share it. They
+    name the collections that ``toricfano show`` prints for a record without
+    any, are derived on load for the bundled M5, and decide the round trip
+    of declared collections (:class:`toricfano.atlas.VarietyAnalysis`).
     """
-    tables = fan.tables
-    if tables.nonfaces is not None:
-        return tables.nonfaces
-    n, top = fan.ray_count, DIM + 1
-    # indexed by size; no non-face has fewer than two rays
-    contains = [()] * 2 + [_subset_bits(n, size) for size in range(2, top + 1)]
-    bits4 = contains[DIM]
-    cones = 0
-    for a, b, c, d in tables.maxcones:
-        cones |= bits4[a] & bits4[b] & bits4[c] & bits4[d]
-    held = [cones & bits for bits in bits4]
-    smaller = [0] * (top + 1)
-    for i in range(1, n + 1):
-        if not held[i]:
-            for size in range(2, top + 1):
-                smaller[size] |= contains[size][i]
-    found = []
-    for size in range(2, top + 1):
-        candidates = ((1 << comb(n, size)) - 1) & ~smaller[size]
-        if size == DIM:
-            candidates &= ~cones
-        subs = _subsets(n, size, candidates)
-        if size == 2:
-            subs = [(i, j) for i, j in subs if not held[i] & held[j]]
-        elif size == 3:
-            subs = [(i, j, k) for i, j, k in subs if not held[i] & held[j] & held[k]]
-        else:
-            subs = list(subs)
-        found += subs
-        for larger in range(size + 1, top + 1):
-            bits = contains[larger]
-            for sub in subs:
-                inside = -1
-                for i in sub:
-                    inside &= bits[i]
-                smaller[larger] |= inside
-    tables.nonfaces = tuple(found)
-    return tables.nonfaces
+    return fan.tables.nonfaces
 
 
 def containing_cones(fan: Fan, point: Sequence[int]) -> Iterator[tuple[Cone, tuple]]:
@@ -921,11 +886,14 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
     ``(collection, coeffs)`` pairs encoding the exact integer relations.
     The lexicographically first 4-subset containing no collection is seeded
     with the standard basis, and the relations are solved for the remaining
-    rays. Raises :class:`FanError` naming the relation when its collection
-    repeats an index or a coefficient is not positive, before any solving,
-    with "underdetermined" when the relations do not pin down every ray, or
-    "inconsistent" when they contradict each other; the reconstructed fan
-    must validate as smooth and complete.
+    rays. Before any solving, raises :class:`FanError` naming the relation
+    when an index is out of range, its collection repeats an index or a
+    coefficient is not positive, and then with :func:`build_fan`'s message
+    for a collection of other than 2 to 5 members; the relation checks come
+    first, so a duplicate or out-of-range index is always named as a
+    relation's. It raises with "underdetermined" when the relations do not
+    pin down every ray, or "inconsistent" when they contradict each other;
+    the reconstructed fan must validate as smooth and complete.
 
     The result is one representative: any other valid seed differs from it
     by a lattice automorphism, so the two have the same :func:`lattice_key`.
@@ -942,6 +910,8 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
             if c <= 0:
                 raise FanError(f"relation of collection {coll} has coefficient {c} on ray {j}, not positive")
     collections = [coll for coll, _ in pairs]
+    # the collection sizes that build_fan accepts
+    _check_collections(collections, ray_count)
 
     # the maximal cones depend on the collections alone: the seed is the
     # first, and the reconstructed fan is built on the same tables
@@ -982,8 +952,6 @@ def reconstruct_rays(relations, ray_count: int) -> tuple[LatticePoint, ...]:
                 rays[i][c] = int(v)
 
     result = tuple(tuple(rays[i]) for i in range(1, ray_count + 1))
-    # the collection sizes that build_fan accepts
-    _check_collections(collections, ray_count)
     report = validate_fan(Fan._on_points(result, tables))
     if not report.ok:
         raise FanError("reconstructed rays are invalid: " + "; ".join(cap_problems(report.problems)))

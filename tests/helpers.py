@@ -4,15 +4,16 @@ on wall relations only, reference versions of the face table, the face-fan
 and the minimal non-faces, seeded perturbations of collection lists, a
 cofactor 4x4 determinant, the adjugate of
 one matrix, the rational null space, the solved dual functional, the anticanonical degree of a
-curve, and the errata of the reference table."""
+curve, a counter of table builds, and the errata of the reference table."""
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from toricfano.chern import divisor_dot_curve
 from toricfano.exactlin import _rref, adjugates4, dot, solve
-from toricfano.fan import Fan, _cone, minimal_nonfaces, primitive_relation
+from toricfano.fan import Fan, FanTables, _cone, minimal_nonfaces, primitive_relation
 
 
 def _det3(a, b, c) -> int:
@@ -295,6 +296,18 @@ def brute_force_nonfaces(fan):
             if not fan.is_face(sub) and all(fan.is_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
                 found.append(sub)
     return tuple(sorted(found, key=lambda c: (len(c), c)))
+
+
+def count_builds(monkeypatch, name):
+    """The list of the :class:`~toricfano.fan.FanTables` that build their
+    cached table ``name`` from now on, one entry per build: the property's
+    builder is wrapped for the rest of the test."""
+    built = []
+    build = FanTables.__dict__[name].func
+    counted = cached_property(lambda tables: built.append(tables) or build(tables))
+    counted.__set_name__(FanTables, name)
+    monkeypatch.setattr(FanTables, name, counted)
+    return built
 
 
 def perturbed_collections(rng, ray_count, collections, steps):

@@ -418,7 +418,7 @@ def test_fans_on_shared_tables_equal_fresh_fans(database):
         fresh = build_fan(rec.rays, rec.collections)
         assert shared is not fresh and shared.rays == fresh.rays
         assert shared.maxcones == fresh.maxcones, rec.name
-        assert shared._container == fresh._container, rec.name
+        assert shared.tables.faces == fresh.tables.faces, rec.name
         assert list(shared.walls.items()) == list(fresh.walls.items()), rec.name
         assert (shared.cones2, shared.cones3) == (fresh.cones2, fresh.cones3), rec.name
         assert minimal_nonfaces(shared) == minimal_nonfaces(fresh), rec.name

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from helpers import (
     anticanonical_degree,
+    count_builds,
     dual_functional,
     override_at,
     perturbed_functional,
@@ -95,20 +96,33 @@ def test_default_path_never_calls_the_rational_solver(database, monkeypatch):
     assert two_fano == [("P4", Fraction(5, 2))]
 
 
-class CountedWrites(list):
-    """A store list of ``size`` empty places that counts how often each
-    place is written."""
+def count_relation_fills(monkeypatch):
+    """The list of the fans whose wall relations are computed from now on,
+    one entry per fill: a call to :meth:`Fan.wall_relations` that leaves the
+    fan another store than it found."""
+    filled = []
+    wall_relations = Fan.wall_relations
 
-    def __init__(self, size):
-        super().__init__([None] * size)
-        self.writes = Counter()
+    def counted(fan):
+        found = fan._relations
+        store = wall_relations(fan)
+        if store is not found:
+            filled.append(fan)
+        return store
 
-    def __setitem__(self, key, value):
-        self.writes[key] += 1
-        super().__setitem__(key, value)
+    monkeypatch.setattr(Fan, "wall_relations", counted)
+    return filled
+
+
+def filled_once(filled, fan):
+    """Whether the fan's wall relations were computed in one fill that gave
+    every wall its relation."""
+    store = fan._relations
+    return sum(f is fan for f in filled) == 1 and len(store) == len(fan.cones3) and None not in store
 
 
 def test_classify_reads_the_wall_relations_that_validation_cached(database, monkeypatch):
+    fills = count_relation_fills(monkeypatch)
     calls = Counter()
     adjugates4 = toricfano.fan.adjugates4
 
@@ -120,14 +134,13 @@ def test_classify_reads_the_wall_relations_that_validation_cached(database, monk
     for name in ("H1", "M5", "124"):
         rec = database.lookup(name)
         fan = build_fan(rec.rays, rec.collections)
-        fan._relations = CountedWrites(len(fan.cones3))
         assert validate_fan(fan).ok
-        assert fan._relations.writes == Counter(range(len(fan.cones3)))
-        fans.append(fan)
+        assert filled_once(fills, fan)
+        fans.append((fan, fan.wall_relations()))
     monkeypatch.setattr(toricfano.fan, "adjugates4", counted)
-    for fan in fans:
+    for fan, relations in fans:
         assert len(classify(fan).values) == len(fan.cones2)
-        assert fan._relations.writes == Counter(range(len(fan.cones3)))
+        assert filled_once(fills, fan) and fan.wall_relations() is relations
     assert calls == {}
 
 
@@ -163,10 +176,10 @@ def test_a_single_surface_sums_on_the_fan_it_is_given(fans, monkeypatch):
 
 
 @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unvalidated"])
-def test_each_wall_relation_is_computed_once_per_fan(fans, validated):
+def test_each_wall_relation_is_computed_once_per_fan(fans, validated, monkeypatch):
+    fills = count_relation_fills(monkeypatch)
     for name in ("P4", "H1", "M5", "117", "124"):
         fan = Fan(fans[name].rays, fans[name].maxcones)
-        fan._relations = CountedWrites(len(fan.cones3))
         if validated:
             assert validate_fan(fan).ok
         classify(fan)
@@ -174,7 +187,7 @@ def test_each_wall_relation_is_computed_once_per_fan(fans, validated):
             ch2_dot_surface(fan, sigma)
         for tau in fan.cones3:
             anticanonical_degree(fan, tau)
-        assert fan._relations.writes == Counter(range(len(fan.cones3))), name
+        assert filled_once(fills, fan), name
 
 
 def test_dual_functional_requires_membership(h1):
@@ -381,7 +394,7 @@ def test_classify_sweep_matches_the_single_surface_route_and_the_oracle(fans, or
         if validated:
             assert validate_fan(fresh).ok
         else:
-            assert fresh._relations == [None] * len(fresh.cones3)
+            assert fresh._relations is None
         values = classify(fresh).values
         assert list(values) == list(fan.cones2)
         for sigma, value in values.items():
@@ -503,22 +516,14 @@ def test_classify_on_a_validated_fan_reads_no_link_and_no_single_surface_sum(fan
 
 def test_the_sweep_tables_are_built_once_per_table_set_and_only_by_classify(database, monkeypatch):
     from toricfano.atlas import analyse_each
-    from toricfano.fan import FanTables
 
-    built = Counter()
-    build = FanTables._build_sweep
-
-    def counted(tables):
-        built[tables] += 1
-        return build(tables)
-
-    monkeypatch.setattr(FanTables, "_build_sweep", counted)
+    built = count_builds(monkeypatch, "sweep")
     for rec in database:
         fan = build_fan(rec.rays, rec.collections)
         assert validate_fan(fan).ok
         for sigma in fan.cones2:
             ch2_dot_surface(fan, sigma)
-        assert fan.tables._sweep is None, rec.name
+        assert "sweep" not in vars(fan.tables), rec.name
     assert not built
     # the records of a type share one table set, swept once for all of them
     table_sets = {}
@@ -526,4 +531,4 @@ def test_the_sweep_tables_are_built_once_per_table_set_and_only_by_classify(data
         assert analysis.report.ok
         classify(analysis.fan)
         table_sets[analysis.fan.tables] = len(table_sets)
-    assert built == Counter(dict.fromkeys(table_sets, 1)) and len(table_sets) == 17
+    assert Counter(built) == Counter(dict.fromkeys(table_sets, 1)) and len(table_sets) == 17

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import ERRATA
+from helpers import ERRATA, count_builds
 
 from toricfano.atlas import render, shipped_database
 from toricfano.cli import main
@@ -574,6 +574,33 @@ def test_every_command_that_computes_validates_a_bundled_record(tmp_path, monkey
     assert run(capsys, "--db", str(path), "ch2", "H1", "--surface", "3,4") == (1, "", err)
 
 
+def test_paper_table_sums_no_row_after_a_refusal(monkeypatch, capsys):
+    from toricfano import atlas, cli
+
+    # E1 with v1 and v2 swapped, put into the bundled atlas: it is refused
+    # before any row is summed, and every record is still validated
+    database = shipped_database()
+    rays = list(database.lookup("E1").rays)
+    rays[0], rays[1] = rays[1], rays[0]
+    broken = atlas.AtlasDatabase(
+        tuple(rec._replace(rays=tuple(rays)) if rec.name == "E1" else rec for rec in database)
+    )
+    atlas.analyse.cache_clear()
+    monkeypatch.setattr(cli, "shipped_database", lambda: broken)
+    calls = []
+    ch2_dot_surface = cli.ch2_dot_surface
+    monkeypatch.setattr(cli, "ch2_dot_surface", lambda fan, sigma: calls.append(sigma) or ch2_dot_surface(fan, sigma))
+    code, out, err = run(capsys, "paper-table")
+    assert (code, out, calls) == (1, "", [])
+    assert err.splitlines() == [
+        "E1: cone (1, 3, 4, 5) has determinant -2",
+        "E1: cone (2, 3, 4, 7) is degenerate",
+        "E1: cone (2, 3, 5, 7) is degenerate",
+        "E1: cone (2, 4, 5, 7) is degenerate",
+        "E1: validation failed",
+    ]
+
+
 def _shuffled_atlas(tmp_path):
     """The bundled atlas in a fixed-seed shuffle, written with M5's derived
     collections, as ``--db`` arguments and the records read back."""
@@ -624,7 +651,7 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
     derive = fan.minimal_nonfaces
 
     def counted_derivation(built):
-        fresh = built.tables.nonfaces is None
+        fresh = "nonfaces" not in vars(built.tables)
         nonfaces = derive(built)
         derived[built.ray_count, frozenset(nonfaces)] += fresh
         return nonfaces
@@ -699,13 +726,11 @@ def test_classify_all_analyses_each_record_once(shuffled, tmp_path, monkeypatch,
 
 
 def test_validate_builds_no_face_table(tmp_path, monkeypatch, capsys):
-    from toricfano import atlas, fan
+    from toricfano import atlas
 
     db_args, _ = _shuffled_atlas(tmp_path)
     shipped_database()  # loaded, M5 derived, before anything is counted
-    built = []
-    build_faces = fan.FanTables._build_faces
-    monkeypatch.setattr(fan.FanTables, "_build_faces", lambda tables: built.append(tables) or build_faces(tables))
+    built = count_builds(monkeypatch, "faces")
     atlas.analyse.cache_clear()
     # validation reads the walls alone, and classify builds the faces and
     # 2-cones of each of the 17 types once, for its sweep

@@ -252,6 +252,15 @@ def test_cone_basis_refuses_a_cone_that_is_not_maximal(h1):
     assert validate_fan(fan).ok
 
 
+def test_a_fill_that_raises_leaves_its_store_unfilled():
+    # v5 has three integers, so the basis of every cone with it fails to unpack
+    fan = Fan(P4_RAYS[:4] + ((-1, -1, -1),), list(itertools.combinations(range(1, 6), 4)))
+    for fill in (fan.cone_bases, fan.wall_relations):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fill()
+
+
 # v3 = v1 + v2, so the cones (1, 2, 3, 4) and (1, 2, 3, 5) are degenerate
 DEGENERATE_RAYS = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (-1, -1, -1, -1))
 
@@ -463,8 +472,22 @@ def test_reconstruct_rays_inconsistent():
         ([((1, 2, 3, 4, 5), {5: 0})], 5, "relation of collection (1, 2, 3, 4, 5) has coefficient 0 on ray 5, not positive"),
         # the seed (1, 3, 4, 5) is the standard basis: v2 = 2 e2 - e1, and 2 v6 = v2 + v3 = 3 e2 - e1
         ([((1, 2), {3: 2}), ((2, 3), {6: 2})], 6, "inconsistent: ray 6 has non-integral coordinate -1/2"),
+        # refused before solving, which would find the relations inconsistent
+        ([((1,), {2: 1}), ((1, 2, 3, 4, 5), {})], 5, "collection (1,) must have between 2 and 5 members"),
+        # refused before solving, which would find the rays underdetermined
+        ([((1, 2, 3, 4, 5, 6), {})], 6, "collection (1, 2, 3, 4, 5, 6) must have between 2 and 5 members"),
     ],
-    ids=["index", "no-free-subset", "no-relations", "duplicate", "negative", "zero", "non-integral"],
+    ids=[
+        "index",
+        "no-free-subset",
+        "no-relations",
+        "duplicate",
+        "negative",
+        "zero",
+        "non-integral",
+        "one-member",
+        "six-members",
+    ],
 )
 def test_reconstruct_rays_names_what_it_cannot_reconstruct(relations, ray_count, message):
     with pytest.raises(FanError) as exc:
@@ -778,7 +801,7 @@ def test_containing_cones_matches_the_rational_solver(fans):
     shared = unique = 0
     for name, fan in test_fans.items():
         # relation sums, the ray sums of all nonempty cones, random points
-        sums = list(minimal_nonfaces(fan)) + [c for c in fan._container if c]
+        sums = list(minimal_nonfaces(fan)) + [c for c in fan.tables.faces if c]
         points = [tuple(map(sum, zip(*(fan.ray(i) for i in c)))) for c in sums]
         points += [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(20)]
         for point, expected in zip(points, _solver_containing_cones(fan, points)):
@@ -821,7 +844,7 @@ def test_face_table_matches_the_per_subset_construction(fans, p4):
     for name, fan in samples.items():
         faces, cones2, cones3, walls = face_table_by_subsets(fan)
         # the same faces, each held by the same maximal cone
-        assert fan._container == faces, name
+        assert fan.tables.faces == faces, name
         assert (fan.cones2, fan.cones3) == (cones2, cones3), name
         # the same walls and neighbours, in the same order: classify sweeps them in it
         assert list(fan.walls.items()) == list(walls.items()), name
@@ -841,16 +864,16 @@ def test_position_tables_locate_each_holder_and_neighbour(fans, p4):
         for tau, (h, k) in zip(fan.cones3, tables.wall_rows):
             holder = fan.maxcones[h]
             # the holder is the wall plus its near neighbour, opposite the wall at k
-            assert holder == fan._container[tau] == _cone(tau + fan.walls[tau][:1]), (name, tau)
+            assert holder == fan.tables.faces[tau] == _cone(tau + fan.walls[tau][:1]), (name, tau)
             assert holder[k] == fan.walls[tau][0] and holder[:k] + holder[k + 1 :] == tau, (name, tau)
 
 
 def test_sweep_tables_list_each_wall_and_surface_pair_once(fans):
     for name, fan in fans.items():
-        inside, outside, surface_rows = fan.tables.sweep()
+        inside, outside, surface_rows = fan.tables.sweep
         for sigma, (h, i, j) in zip(fan.cones2, surface_rows):
             holder = fan.maxcones[h]
-            assert holder == fan._container[sigma] and (holder[i], holder[j]) == sigma, (name, sigma)
+            assert holder == fan.tables.faces[sigma] and (holder[i], holder[j]) == sigma, (name, sigma)
         pairs = []
         for entry in inside + outside:
             s, t, kn = entry[:3] if len(entry) == 3 else (entry[0], entry[1], entry[3])
@@ -859,7 +882,7 @@ def test_sweep_tables_list_each_wall_and_surface_pair_once(fans):
             holder = fan.maxcones[fan.tables.wall_rows[t][0]]
             assert holder[kn] == n, (name, tau, sigma)
             # inside exactly when n lies in the holder of sigma
-            assert (len(entry) == 3) == (n in fan._container[sigma]), (name, tau, sigma)
+            assert (len(entry) == 3) == (n in fan.tables.faces[sigma]), (name, tau, sigma)
             if len(entry) == 6:
                 assert entry[2] == n - 1 and (holder[entry[4]], holder[entry[5]]) == sigma, (name, tau, sigma)
             pairs.append((tau, sigma))
